@@ -6,8 +6,10 @@
 //!
 //! Each case generates a random program ([`ccra_workloads::random_program`]),
 //! profiles it, and runs it through the four headline allocators (improved
-//! Chaitin, improved optimistic, priority, CBH) on a register file cycled
-//! by case index. For every allocation the oracle asserts:
+//! Chaitin, improved optimistic, priority, CBH) plus the spill-everywhere
+//! fallback ([`ccra_eval::degraded_program_allocation`], the path a
+//! function takes when its allocator fails) on a register file cycled by
+//! case index. For every allocation the oracle asserts:
 //!
 //! * the independent checker ([`ccra_regalloc::check_allocation`]) accepts
 //!   every function's allocation;
@@ -22,7 +24,8 @@
 use std::process::ExitCode;
 
 use ccra_analysis::{run, FrequencyInfo, InterpConfig};
-use ccra_machine::RegisterFile;
+use ccra_eval::degraded_program_allocation;
+use ccra_machine::{CostModel, RegisterFile};
 use ccra_regalloc::{
     allocate_program, check_allocation, measured_overhead, AllocatorConfig, PriorityOrdering,
 };
@@ -115,8 +118,15 @@ fn main() -> ExitCode {
             }
         };
         let file = files()[(case % 3) as usize];
-        for (label, config) in configs() {
-            let out = match allocate_program(&program, &freq, file, &config) {
+        let allocations = configs()
+            .into_iter()
+            .map(|(label, config)| (label, allocate_program(&program, &freq, file, &config)))
+            .chain(std::iter::once((
+                "spill-everywhere",
+                degraded_program_allocation(&program, &freq, &file, &CostModel::paper()),
+            )));
+        for (label, out) in allocations {
+            let out = match out {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("case {case} (seed {seed}) {label} @ {file}: allocation error: {e}");
@@ -176,7 +186,7 @@ fn main() -> ExitCode {
     println!(
         "fuzzcheck: {} cases x {} allocators = {checked} allocations clean",
         args.cases,
-        configs().len()
+        configs().len() + 1
     );
     ExitCode::SUCCESS
 }

@@ -1,12 +1,10 @@
-//! Runs the incremental re-allocation sweep ([`ccra_eval::incr`]) and
-//! records it into the `cache` section of a `BENCH_*.json` snapshot:
+//! Runs the incremental re-allocation sweep ([`ccra_eval::incr`]):
 //! per dirty-fraction × worker-count cell, the cold and warm wall-clock
-//! times, the memo-cache hit rate, resident bytes, and evictions.
+//! times, the memo-cache hit counts, resident bytes, and evictions.
 //!
 //! ```text
 //! incr [--funcs <n>] [--seed <n>] [--workers <n>] [--dirty <pct>]
-//!      [--out <file.json>] [--into <bench.json>]
-//!      [--check <baseline.json>] [--poison]
+//!      [--out <file.json>] [--poison]
 //! ```
 //!
 //! * `--funcs` — functions in the synthetic workload (default 1000).
@@ -15,43 +13,35 @@
 //!   sweep 1, 2, 4, 8).
 //! * `--dirty` — restrict the sweep to one dirty fraction, percent
 //!   (default: sweep 0, 1, 10, 100).
-//! * `--out` — write a standalone schema-versioned snapshot holding only
-//!   the measured section (default `BENCH_<version>_cache.json`).
-//! * `--into` — merge the measured cells into an existing snapshot
-//!   (replacing prior cells at the same coordinates) and rewrite it.
-//! * `--check` — after the sweep, gate the hit rates against the given
-//!   baseline snapshot's `cache` section ([`ccra_eval::check_cache`]):
-//!   exact per-cell match plus the unconditional ≥ 95% floor on 1%-dirty
-//!   cells. Exits 1 on any violation.
+//! * `--out` — write the measured cells here as plain JSON
+//!   (`{"cache":[...]}`).
 //! * `--poison` — collapse every cache key
 //!   ([`ccra_regalloc::CacheConfig::poison`]): the warm run replays wrong
 //!   allocations, the in-sweep byte-identity check must fail, and the run
 //!   must exit nonzero. CI runs this to prove the gate fires.
 //!
 //! Every cell's warm result is compared byte-for-byte against an uncached
-//! cold run of the same edited program *before* it is recorded; the run
-//! exits 1 on the first difference, so this binary doubles as the
-//! cache-correctness oracle at every worker count it sweeps.
+//! cold run of the same edited program, and its hit counts are checked
+//! exactly against the number of edited functions
+//! ([`ccra_eval::check_hits`]), *before* it is recorded; the run exits 1
+//! on the first violation, so this binary doubles as the cache-correctness
+//! oracle at every worker count it sweeps.
 
 use std::process::ExitCode;
 
 use ccra_eval::incr::{run_incr_sweep, IncrConfig};
-use ccra_eval::perfsnap::{self, BenchSnapshot, CacheEntry, HostInfo, BENCH_SCHEMA_VERSION};
-use ccra_eval::{check_cache, parse_snapshot};
+use serde::json::Value;
 use serde::Serialize;
 
 struct Args {
     cfg: IncrConfig,
-    out: String,
-    into: Option<String>,
-    check: Option<String>,
+    out: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: incr [--funcs <n>] [--seed <n>] [--workers <n>] [--dirty <pct>] \
-         [--out <file.json>] [--into <bench.json>] \
-         [--check <baseline.json>] [--poison]"
+         [--out <file.json>] [--poison]"
     );
     std::process::exit(2);
 }
@@ -59,9 +49,7 @@ fn usage() -> ! {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = IncrConfig::default();
-    let mut out = format!("BENCH_{BENCH_SCHEMA_VERSION}_cache.json");
-    let mut into = None;
-    let mut check = None;
+    let mut out = None;
 
     let mut i = 0;
     while i < argv.len() {
@@ -92,9 +80,7 @@ fn parse_args() -> Args {
                 }
                 cfg.dirty_pcts = vec![d];
             }
-            "--out" => out = take(i).to_string(),
-            "--into" => into = Some(take(i).to_string()),
-            "--check" => check = Some(take(i).to_string()),
+            "--out" => out = Some(take(i).to_string()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -103,12 +89,7 @@ fn parse_args() -> Args {
     if cfg.funcs == 0 {
         usage();
     }
-    Args {
-        cfg,
-        out,
-        into,
-        check,
-    }
+    Args { cfg, out }
 }
 
 fn main() -> ExitCode {
@@ -145,74 +126,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("ok: every warm result was byte-identical to its uncached cold run");
+    eprintln!(
+        "ok: every warm result was byte-identical to its uncached cold run, \
+         and every cell missed exactly on its edited functions"
+    );
 
-    if let Some(path) = &args.check {
-        let baseline = match std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|text| parse_snapshot(&text).map_err(|e| format!("{path}: {e}")))
-        {
-            Ok(snapshot) => snapshot,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = check_cache(&baseline.cache, &entries) {
-            eprintln!("CACHE GATE FAILED vs {path}:\n{e}");
+    if let Some(path) = &args.out {
+        let doc = Value::Obj(vec![("cache".to_string(), entries.to_value())]);
+        if let Err(e) = std::fs::write(path, doc.to_json() + "\n") {
+            eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-        eprintln!("cache gate passed vs {path}");
+        eprintln!("wrote {path}");
     }
-
-    let write_result = match &args.into {
-        Some(path) => merge_cache_into(path, &entries),
-        None => {
-            let snapshot = BenchSnapshot {
-                schema_version: BENCH_SCHEMA_VERSION,
-                scale: 0.0,
-                iters: 1,
-                host: HostInfo::detect(&args.cfg.workers),
-                entries: Vec::new(),
-                parallel: Vec::new(),
-                latency: Vec::new(),
-                admission: Vec::new(),
-                quality: Vec::new(),
-                cache: entries.clone(),
-                alerts: Vec::new(),
-            };
-            std::fs::write(&args.out, snapshot.to_json() + "\n")
-                .map(|()| args.out.clone())
-                .map_err(|e| format!("cannot write {}: {e}", args.out))
-        }
-    };
-    match write_result {
-        Ok(path) => {
-            eprintln!("wrote {path}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Replaces the cache cells at this run's coordinates inside an existing
-/// snapshot and rewrites it.
-fn merge_cache_into(path: &str, entries: &[CacheEntry]) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut snapshot = perfsnap::parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))?;
-    snapshot.cache.retain(|c| {
-        !entries.iter().any(|e| {
-            e.workload == c.workload && e.workers == c.workers && e.dirty_pct == c.dirty_pct
-        })
-    });
-    snapshot.cache.extend_from_slice(entries);
-    snapshot.cache.sort_by(|a, b| {
-        (&a.workload, a.workers, a.dirty_pct).cmp(&(&b.workload, b.workers, b.dirty_pct))
-    });
-    std::fs::write(path, snapshot.to_json() + "\n")
-        .map(|()| path.to_string())
-        .map_err(|e| format!("cannot write {path}: {e}"))
+    ExitCode::SUCCESS
 }

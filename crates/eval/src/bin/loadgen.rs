@@ -1,12 +1,12 @@
-//! Drives a live [`ccra_regalloc::BatchService`] open-loop and records
+//! Drives a live [`ccra_regalloc::BatchService`] open-loop and reports
 //! the serving-path latency SLOs (queue-wait / service / end-to-end p50,
-//! p95, p99) into the `latency` section of a `BENCH_*.json` snapshot —
-//! see [`ccra_eval::loadgen`] for the arrival and job-size model.
+//! p95, p99) — see [`ccra_eval::loadgen`] for the arrival and job-size
+//! model.
 //!
 //! ```text
 //! loadgen [--jobs <n>] [--workers <n>] [--shard-workers <n>]
 //!         [--queue <n>] [--mean-gap-us <n>] [--seed <n>] [--rerun <pct>]
-//!         [--out <file.json>] [--into <bench.json>]
+//!         [--out <file.json>]
 //!         [--chaos] [--trickle <n>] [--slo-us <n>] [--max-limit <n>]
 //!         [--timeout-us <n>] [--spike-us <n>] [--cancel-every <n>]
 //!         [--p99-bound-us <n>] [--watchdog-secs <n>] [--dump <file.json>]
@@ -25,11 +25,8 @@
 //!   the service gets a memo cache, and the run reports its hit/miss
 //!   counters; the rewritten stream is still a pure function of `--seed`.
 //!   Applies to the chaos storm too.
-//! * `--out` — write a standalone schema-versioned snapshot holding only
-//!   the measured section (default `BENCH_<version>_latency.json`).
-//! * `--into` — instead of a standalone file, merge the measured series
-//!   into an existing snapshot (replacing any prior entries at the same
-//!   worker count) and rewrite it in place.
+//! * `--out` — write the measured latency rows here as plain JSON
+//!   (`{"latency":[...]}`).
 //!
 //! Exits 1 if any submission id is lost or duplicated — the run doubles
 //! as an accounting check on the batch service.
@@ -59,15 +56,15 @@
 //! hang *is* a failed run, not a stuck CI job. On assertion failure the
 //! chaos report and the service's flight-recorder dump are written to
 //! `--dump` (default `chaos_failure.json`) for upload as a CI artifact.
-//! On success the measured `admission` and `alerts` sections are written
-//! via `--out`/`--into`. `--obsv-dump <file>` additionally writes the
-//! observatory's `/alerts` document and the raw-tier history of every
-//! sampled series — the CI alerting job uploads it as an artifact.
+//! On success `--out` writes the measured rows as plain JSON
+//! (`{"admission":[...],"alerts":[...]}`). `--obsv-dump <file>`
+//! additionally writes the observatory's `/alerts` document and the
+//! raw-tier history of every sampled series — the CI alerting job
+//! uploads it as an artifact.
 
 use std::process::ExitCode;
 
 use ccra_eval::loadgen::{run_chaosload, run_loadgen, ChaosloadConfig, LoadgenConfig};
-use ccra_eval::perfsnap::{self, BenchSnapshot, HostInfo, BENCH_SCHEMA_VERSION};
 use serde::json::Value;
 use serde::Serialize;
 
@@ -79,15 +76,14 @@ struct Args {
     watchdog_secs: u64,
     dump: String,
     obsv_dump: Option<String>,
-    out: String,
-    into: Option<String>,
+    out: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--jobs <n>] [--workers <n>] [--shard-workers <n>] \
          [--queue <n>] [--mean-gap-us <n>] [--seed <n>] [--rerun <pct>] \
-         [--out <file.json>] [--into <bench.json>] \
+         [--out <file.json>] \
          [--chaos] [--trickle <n>] [--slo-us <n>] [--max-limit <n>] \
          [--timeout-us <n>] [--spike-us <n>] [--cancel-every <n>] \
          [--p99-bound-us <n>] [--watchdog-secs <n>] [--dump <file.json>] \
@@ -108,8 +104,7 @@ fn parse_args() -> Args {
     let mut watchdog_secs = 300;
     let mut dump = "chaos_failure.json".to_string();
     let mut obsv_dump = None;
-    let mut out = format!("BENCH_{BENCH_SCHEMA_VERSION}_latency.json");
-    let mut into = None;
+    let mut out = None;
 
     let mut i = 0;
     while i < argv.len() {
@@ -173,8 +168,7 @@ fn parse_args() -> Args {
             "--watchdog-secs" => watchdog_secs = take(i).parse().unwrap_or_else(|_| usage()),
             "--dump" => dump = take(i).to_string(),
             "--obsv-dump" => obsv_dump = Some(take(i).to_string()),
-            "--out" => out = take(i).to_string(),
-            "--into" => into = Some(take(i).to_string()),
+            "--out" => out = Some(take(i).to_string()),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -205,7 +199,6 @@ fn parse_args() -> Args {
         dump,
         obsv_dump,
         out,
-        into,
     }
 }
 
@@ -254,17 +247,10 @@ fn main() -> ExitCode {
     }
     eprintln!("ok: every submission id came back exactly once");
 
-    let write_result = match &args.into {
-        Some(path) => merge_latency_into(path, &report.latency),
-        None => {
-            let mut snapshot = empty_snapshot(args.cfg.workers);
-            snapshot.latency = report.latency.clone();
-            std::fs::write(&args.out, snapshot.to_json() + "\n")
-                .map(|()| args.out.clone())
-                .map_err(|e| format!("cannot write {}: {e}", args.out))
-        }
-    };
-    finish(write_result)
+    write_out(
+        args.out.as_deref(),
+        vec![("latency".to_string(), report.latency.to_value())],
+    )
 }
 
 fn run_chaos_mode(args: &Args) -> ExitCode {
@@ -404,102 +390,32 @@ fn run_chaos_mode(args: &Args) -> ExitCode {
         }
     }
 
-    let entry = report.admission_entry();
-    let alerts = report.alert_entries();
-    let write_result = match &args.into {
-        Some(path) => merge_admission_into(path, &entry)
-            .and_then(|_| merge_alerts_into(path, cfg.workers as u64, &alerts)),
-        None => {
-            let mut snapshot = empty_snapshot(cfg.workers);
-            snapshot.admission = vec![entry];
-            snapshot.alerts = alerts;
-            std::fs::write(&args.out, snapshot.to_json() + "\n")
-                .map(|()| args.out.clone())
-                .map_err(|e| format!("cannot write {}: {e}", args.out))
-        }
-    };
-    finish(write_result)
+    write_out(
+        args.out.as_deref(),
+        vec![
+            (
+                "admission".to_string(),
+                vec![report.admission_entry()].to_value(),
+            ),
+            ("alerts".to_string(), report.alert_entries().to_value()),
+        ],
+    )
 }
 
-fn finish(write_result: Result<String, String>) -> ExitCode {
-    match write_result {
-        Ok(path) => {
+/// Writes the measured rows as one plain JSON object, when `--out` asked
+/// for them.
+fn write_out(out: Option<&str>, rows: Vec<(String, Value)>) -> ExitCode {
+    let Some(path) = out else {
+        return ExitCode::SUCCESS;
+    };
+    match std::fs::write(path, Value::Obj(rows).to_json() + "\n") {
+        Ok(()) => {
             eprintln!("wrote {path}");
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("cannot write {path}: {e}");
             ExitCode::FAILURE
         }
     }
-}
-
-fn empty_snapshot(workers: usize) -> BenchSnapshot {
-    BenchSnapshot {
-        schema_version: BENCH_SCHEMA_VERSION,
-        scale: 0.0,
-        iters: 1,
-        host: HostInfo::detect(&[workers]),
-        entries: Vec::new(),
-        parallel: Vec::new(),
-        latency: Vec::new(),
-        admission: Vec::new(),
-        quality: Vec::new(),
-        cache: Vec::new(),
-        alerts: Vec::new(),
-    }
-}
-
-/// Replaces the latency entries at this run's worker count inside an
-/// existing snapshot and rewrites it.
-fn merge_latency_into(
-    path: &str,
-    latency: &[ccra_eval::perfsnap::LatencyEntry],
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut snapshot = perfsnap::parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))?;
-    let workers: Vec<u64> = latency.iter().map(|l| l.workers).collect();
-    snapshot.latency.retain(|l| !workers.contains(&l.workers));
-    snapshot.latency.extend_from_slice(latency);
-    snapshot
-        .latency
-        .sort_by(|a, b| (a.workers, &a.series).cmp(&(b.workers, &b.series)));
-    std::fs::write(path, snapshot.to_json() + "\n")
-        .map(|()| path.to_string())
-        .map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// Replaces the alert entries at this run's worker count inside an
-/// existing snapshot and rewrites it.
-fn merge_alerts_into(
-    path: &str,
-    workers: u64,
-    alerts: &[ccra_eval::perfsnap::AlertEntry],
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut snapshot = perfsnap::parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))?;
-    snapshot.alerts.retain(|a| a.workers != workers);
-    snapshot.alerts.extend_from_slice(alerts);
-    snapshot
-        .alerts
-        .sort_by(|a, b| (a.workers, &a.rule).cmp(&(b.workers, &b.rule)));
-    std::fs::write(path, snapshot.to_json() + "\n")
-        .map(|()| path.to_string())
-        .map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-/// Replaces the admission entry at this run's worker count inside an
-/// existing snapshot and rewrites it.
-fn merge_admission_into(
-    path: &str,
-    entry: &ccra_eval::perfsnap::AdmissionEntry,
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut snapshot = perfsnap::parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))?;
-    snapshot.admission.retain(|a| a.workers != entry.workers);
-    snapshot.admission.push(entry.clone());
-    snapshot.admission.sort_by_key(|a| a.workers);
-    std::fs::write(path, snapshot.to_json() + "\n")
-        .map(|()| path.to_string())
-        .map_err(|e| format!("cannot write {path}: {e}"))
 }

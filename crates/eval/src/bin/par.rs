@@ -1,65 +1,42 @@
 //! Sweeps the parallel allocation driver over worker counts
 //! ([`ccra_eval::SWEEP_WORKER_COUNTS`]), verifies the parallel output is
-//! byte-identical to the serial pipeline on every workload, and writes a
-//! schema-versioned snapshot with the measurements in its `parallel`
-//! section.
+//! byte-identical to the serial pipeline on every workload, and gates the
+//! driver's `workers = 1` overhead.
 //!
 //! ```text
-//! par [--scale <f64>] [--iters <n>] [--out <file.json>]
-//!     [--check <baseline.json>] [--threshold <pct>] [--w1-threshold <pct>]
+//! par [--scale <f64>] [--iters <n>] [--w1-threshold <pct>]
 //! ```
 //!
-//! * `--scale` — workload scale (default 1.0, or the `BENCH_SCALE`
-//!   environment variable; the flag wins).
+//! * `--scale` — workload scale (default 1.0).
 //! * `--iters` — timed iterations per cell; the fastest is kept
 //!   (default 3).
-//! * `--out` — snapshot path (default `BENCH_<version>.json`).
-//! * `--check` — compare the sweep against a baseline snapshot's
-//!   `parallel` section; exit 1 when aggregate throughput drops more than
-//!   `--threshold` percent (default 25 — loose, the sweep is
-//!   scheduling-sensitive).
-//! * `--w1-threshold` — always enforced, baseline or not: the driver at
-//!   `workers = 1` must not be slower than the serial pipeline by more
-//!   than this many percent (default 10).
+//! * `--w1-threshold` — the driver at `workers = 1` must not be slower
+//!   than the serial pipeline by more than this many percent (default
+//!   10); exit 1 otherwise.
 //!
 //! Speedups are wall-clock honest: on a single-core machine every worker
-//! count measures ≈ 1.0×, and that is the number recorded.
+//! count measures ≈ 1.0×, and that is the number printed.
 
 use std::process::ExitCode;
 
-use ccra_eval::perfsnap::{self, BenchSnapshot, HostInfo, BENCH_SCHEMA_VERSION};
-use ccra_eval::{compare_parallel, parsweep, workers1_gate};
+use ccra_eval::{parsweep, workers1_gate};
 use ccra_workloads::Scale;
-use serde::Serialize;
 
 struct Args {
     scale: Scale,
     iters: u32,
-    out: String,
-    check: Option<String>,
-    threshold: f64,
     w1_threshold: f64,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: par [--scale <f64>] [--iters <n>] [--out <file.json>] \
-         [--check <baseline.json>] [--threshold <pct>] [--w1-threshold <pct>]"
-    );
-    eprintln!("the BENCH_SCALE environment variable sets the default scale");
+    eprintln!("usage: par [--scale <f64>] [--iters <n>] [--w1-threshold <pct>]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = std::env::var("BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map_or(Scale(1.0), Scale);
+    let mut scale = Scale(1.0);
     let mut iters = 3u32;
-    let mut out = format!("BENCH_{BENCH_SCHEMA_VERSION}.json");
-    let mut check = None;
-    let mut threshold = 25.0;
     let mut w1_threshold = 10.0;
 
     let mut i = 0;
@@ -81,18 +58,6 @@ fn parse_args() -> Args {
                 }
                 i += 2;
             }
-            "--out" => {
-                out = take(i).to_string();
-                i += 2;
-            }
-            "--check" => {
-                check = Some(take(i).to_string());
-                i += 2;
-            }
-            "--threshold" => {
-                threshold = take(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
             "--w1-threshold" => {
                 w1_threshold = take(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
@@ -104,9 +69,6 @@ fn parse_args() -> Args {
     Args {
         scale,
         iters,
-        out,
-        check,
-        threshold,
         w1_threshold,
     }
 }
@@ -115,8 +77,7 @@ fn main() -> ExitCode {
     let args = parse_args();
 
     eprintln!(
-        "par: schema v{BENCH_SCHEMA_VERSION}, scale {}, {} iteration(s) per cell, \
-         worker counts {:?}",
+        "par: scale {}, {} iteration(s) per cell, worker counts {:?}",
         args.scale.0,
         args.iters,
         parsweep::SWEEP_WORKER_COUNTS
@@ -130,26 +91,7 @@ fn main() -> ExitCode {
         eprintln!("           driver: {summary}");
     });
 
-    let snapshot = BenchSnapshot {
-        schema_version: BENCH_SCHEMA_VERSION,
-        scale: args.scale.0,
-        iters: args.iters,
-        host: HostInfo::detect(&parsweep::SWEEP_WORKER_COUNTS),
-        entries: Vec::new(),
-        parallel,
-        latency: Vec::new(),
-        admission: Vec::new(),
-        quality: Vec::new(),
-        cache: Vec::new(),
-        alerts: Vec::new(),
-    };
-    if let Err(e) = std::fs::write(&args.out, snapshot.to_json() + "\n") {
-        eprintln!("cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote {}", args.out);
-
-    if let Err(e) = workers1_gate(&snapshot.parallel, args.w1_threshold) {
+    if let Err(e) = workers1_gate(&parallel, args.w1_threshold) {
         eprintln!("GATE FAILED: {e}");
         return ExitCode::FAILURE;
     }
@@ -157,58 +99,5 @@ fn main() -> ExitCode {
         "ok: workers=1 within {:.0}% of the serial pipeline on every workload",
         args.w1_threshold
     );
-
-    if let Some(path) = &args.check {
-        return check_against(path, &snapshot, args.threshold);
-    }
     ExitCode::SUCCESS
-}
-
-fn check_against(path: &str, current: &BenchSnapshot, threshold: f64) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match perfsnap::parse_snapshot(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if baseline.scale != current.scale {
-        eprintln!(
-            "baseline {path} is at scale {}, this run is at scale {} — not comparable",
-            baseline.scale, current.scale
-        );
-        return ExitCode::FAILURE;
-    }
-    let cmp = match compare_parallel(&baseline.parallel, &current.parallel, threshold) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot compare against {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for key in &cmp.missing {
-        eprintln!("  {key:<28} missing from this run");
-    }
-    if cmp.regressed {
-        eprintln!(
-            "REGRESSION: aggregate {:.0} instrs/sec vs baseline {:.0} \
-             ({:+.1}% < -{threshold:.1}% threshold)",
-            cmp.current_ips, cmp.baseline_ips, cmp.delta_pct
-        );
-        ExitCode::FAILURE
-    } else {
-        eprintln!(
-            "ok: aggregate {:.0} instrs/sec vs baseline {:.0} ({:+.1}%, \
-             threshold {threshold:.1}%)",
-            cmp.current_ips, cmp.baseline_ips, cmp.delta_pct
-        );
-        ExitCode::SUCCESS
-    }
 }

@@ -1,39 +1,32 @@
-//! Runs the fixed allocation-quality matrix and writes its scores into a
-//! schema-versioned snapshot's `quality` section, optionally gating
-//! against a committed baseline.
+//! Runs the fixed allocation-quality matrix, optionally writing its
+//! scores as a plain [`QualityFile`] and gating against a committed one.
 //!
 //! ```text
-//! quality [--scale <f64>] [--out <file.json>] [--into <file.json>]
+//! quality [--scale <f64>] [--out <file.json>]
 //!         [--check <baseline.json>] [--threshold <pct>]
 //!         [--degrade <workload>]
 //! ```
 //!
-//! * `--scale` — workload scale (default 1.0, or the `BENCH_SCALE`
-//!   environment variable; the flag wins).
-//! * `--out` — write a standalone snapshot here (default
-//!   `BENCH_<version>_quality.json`).
-//! * `--into` — instead of a standalone snapshot, replace the `quality`
-//!   section of an existing snapshot and rewrite it in place (the way a
-//!   CI run folds quality scores into the `perf` snapshot).
-//! * `--check` — compare against a baseline snapshot's `quality`
-//!   section; exit 1 when any cell (or the aggregate) estimates more
-//!   than `--threshold` percent more execution cycles (default 10).
-//!   Scale and schema version must match the baseline.
+//! * `--scale` — workload scale (default 1.0).
+//! * `--out` — write the scale and the matrix cells here as plain JSON,
+//!   the same shape `--check` reads.
+//! * `--check` — compare against a baseline file's cells; exit 1 when any
+//!   cell (or the aggregate) estimates more than `--threshold` percent
+//!   more execution cycles (default 10). The scale must match the
+//!   baseline's.
 //! * `--degrade` — allocate the named workload with the spill-everything
 //!   fallback: an injected regression that must make `--check` fail
 //!   (proving the gate fires; see the CI `quality` job).
 
 use std::process::ExitCode;
 
-use ccra_eval::perfsnap::{self, BenchSnapshot, HostInfo, BENCH_SCHEMA_VERSION};
-use ccra_eval::quality::{compare_quality, run_quality_matrix};
+use ccra_eval::quality::{compare_quality, run_quality_matrix, QualityFile};
 use ccra_workloads::Scale;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 struct Args {
     scale: Scale,
-    out: String,
-    into: Option<String>,
+    out: Option<String>,
     check: Option<String>,
     threshold: f64,
     degrade: Option<String>,
@@ -41,21 +34,16 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: quality [--scale <f64>] [--out <file.json>] [--into <file.json>] \
+        "usage: quality [--scale <f64>] [--out <file.json>] \
          [--check <baseline.json>] [--threshold <pct>] [--degrade <workload>]"
     );
-    eprintln!("the BENCH_SCALE environment variable sets the default scale");
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = std::env::var("BENCH_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .map_or(Scale(1.0), Scale);
-    let mut out = format!("BENCH_{BENCH_SCHEMA_VERSION}_quality.json");
-    let mut into = None;
+    let mut scale = Scale(1.0);
+    let mut out = None;
     let mut check = None;
     let mut threshold = 10.0;
     let mut degrade = None;
@@ -73,11 +61,7 @@ fn parse_args() -> Args {
                 i += 2;
             }
             "--out" => {
-                out = take(i).to_string();
-                i += 2;
-            }
-            "--into" => {
-                into = Some(take(i).to_string());
+                out = Some(take(i).to_string());
                 i += 2;
             }
             "--check" => {
@@ -99,7 +83,6 @@ fn parse_args() -> Args {
     Args {
         scale,
         out,
-        into,
         check,
         threshold,
         degrade,
@@ -110,7 +93,7 @@ fn main() -> ExitCode {
     let args = parse_args();
 
     eprintln!(
-        "quality: schema v{BENCH_SCHEMA_VERSION}, scale {}{}",
+        "quality: scale {}{}",
         args.scale.0,
         args.degrade
             .as_deref()
@@ -143,93 +126,43 @@ fn main() -> ExitCode {
         entries.len()
     );
 
-    let write_result = match &args.into {
-        Some(path) => merge_into(path, &entries, args.scale),
-        None => {
-            let snapshot = BenchSnapshot {
-                schema_version: BENCH_SCHEMA_VERSION,
-                scale: args.scale.0,
-                iters: 1,
-                host: HostInfo::detect(&[]),
-                entries: Vec::new(),
-                parallel: Vec::new(),
-                latency: Vec::new(),
-                admission: Vec::new(),
-                quality: entries.clone(),
-                cache: Vec::new(),
-                alerts: Vec::new(),
-            };
-            std::fs::write(&args.out, snapshot.to_json() + "\n")
-                .map(|()| args.out.clone())
-                .map_err(|e| format!("cannot write {}: {e}", args.out))
-        }
+    let run = QualityFile {
+        scale: args.scale.0,
+        quality: entries,
     };
-    let written = match write_result {
-        Ok(path) => {
-            eprintln!("wrote {path}");
-            path
+    if let Some(path) = &args.out {
+        if let Err(e) = std::fs::write(path, run.to_json() + "\n") {
+            eprintln!("cannot write {path}: {e}");
+            return ExitCode::FAILURE;
         }
+        eprintln!("wrote {path}");
+    }
+
+    if let Some(path) = &args.check {
+        return check_against(path, &run, args.threshold);
+    }
+    ExitCode::SUCCESS
+}
+
+fn check_against(path: &str, run: &QualityFile, threshold: f64) -> ExitCode {
+    let baseline = match std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read baseline {path}: {e}"))
+        .and_then(|text| QualityFile::from_json(&text).map_err(|e| format!("baseline {path}: {e}")))
+    {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(path) = &args.check {
-        return check_against(path, &entries, args.scale, args.threshold, &written);
-    }
-    ExitCode::SUCCESS
-}
-
-/// Replaces the `quality` section of an existing snapshot in place.
-fn merge_into(
-    path: &str,
-    entries: &[perfsnap::QualityEntry],
-    scale: Scale,
-) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut snapshot = perfsnap::parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))?;
-    if snapshot.scale != scale.0 {
-        return Err(format!(
-            "scale mismatch: {path} was run at scale {}, this run is {}",
-            snapshot.scale, scale.0
-        ));
-    }
-    snapshot.quality = entries.to_vec();
-    std::fs::write(path, snapshot.to_json() + "\n")
-        .map(|()| path.to_string())
-        .map_err(|e| format!("cannot write {path}: {e}"))
-}
-
-fn check_against(
-    path: &str,
-    entries: &[perfsnap::QualityEntry],
-    scale: Scale,
-    threshold: f64,
-    written: &str,
-) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match perfsnap::parse_snapshot(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("baseline {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if baseline.scale != scale.0 {
+    if baseline.scale != run.scale {
         eprintln!(
             "scale mismatch: baseline {path} was run at scale {}, this run is {}",
-            baseline.scale, scale.0
+            baseline.scale, run.scale
         );
         return ExitCode::FAILURE;
     }
-    let cmp = match compare_quality(&baseline.quality, entries, threshold) {
+    let cmp = match compare_quality(&baseline.quality, &run.quality, threshold) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("cannot compare against {path}: {e}");
@@ -252,7 +185,7 @@ fn check_against(
     if cmp.regressed {
         eprintln!(
             "QUALITY REGRESSION: aggregate {:.0} est cycles vs baseline {:.0} \
-             ({:+.1}%, threshold {threshold:.1}%); snapshot at {written}",
+             ({:+.1}%, threshold {threshold:.1}%)",
             cmp.current_cycles, cmp.baseline_cycles, cmp.delta_pct
         );
         ExitCode::FAILURE

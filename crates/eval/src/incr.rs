@@ -14,15 +14,16 @@
 //! The warm result is compared against the reference **inside the
 //! sweep**: [`run_incr_sweep`] returns an error (and the binary exits
 //! nonzero) on the first byte that differs, so a warm number for a wrong
-//! allocation can never reach a snapshot. `--poison` (see
+//! allocation can never be recorded. `--poison` (see
 //! [`ccra_regalloc::CacheConfig::poison`]) collapses every cache key and
 //! exists to prove in CI that this gate actually fires.
 //!
-//! Hit rates are deterministic — an edited function misses, an untouched
-//! one hits — so [`check_cache`] gates them exactly against the committed
-//! baseline's `cache` section. Wall-clock speedups are recorded for the
-//! humans but never gated: they are honest measurements on whatever
-//! machine ran the sweep.
+//! Hit counts are a pure function of the sweep — an edited function
+//! misses, an untouched one hits — so every cell must then have exactly
+//! as many misses as [`dirty_program`] edited functions and hits for all
+//! the rest ([`check_hits`]); no baseline file is needed. Wall-clock
+//! speedups are recorded for the humans but never gated: they are honest
+//! measurements on whatever machine ran the sweep.
 
 use std::time::Instant;
 
@@ -35,9 +36,9 @@ use ccra_regalloc::{
     NoopSink, ParallelDriver, ProgramAllocation, TimelineCollector,
 };
 use ccra_workloads::{random_program, FuzzConfig};
+use serde::Serialize;
 
 use crate::parsweep::SWEEP_WORKER_COUNTS;
-use crate::perfsnap::CacheEntry;
 
 /// The dirty fractions the default sweep measures, percent of functions
 /// edited between the cold and warm runs: fully warm, the incremental
@@ -47,6 +48,40 @@ pub const SWEEP_DIRTY_PCTS: [u64; 4] = [0, 1, 10, 100];
 /// The default function count of the synthetic workload — wide enough
 /// that a 1% edit still dirties a meaningful population (10 functions).
 pub const DEFAULT_FUNCS: usize = 1000;
+
+/// One cell of the incremental re-allocation sweep: a synthetic program
+/// re-allocated through a warm [`AllocCache`] after a given fraction of
+/// its functions were edited, at one worker count. Every cell is
+/// byte-identity-checked against an uncached cold run, and its hit counts
+/// checked exactly, before it is recorded.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct CacheEntry {
+    /// The workload name (e.g. `"synth1000"`).
+    pub workload: String,
+    /// Driver worker threads for both the cold and warm runs.
+    pub workers: u64,
+    /// Percentage of functions edited between the cold and warm runs
+    /// (0 = fully warm, 100 = nothing reusable).
+    pub dirty_pct: u64,
+    /// Functions in the workload.
+    pub funcs: u64,
+    /// Cold (empty-cache) allocation wall-clock microseconds.
+    pub cold_micros: u64,
+    /// Warm (populated-cache) re-allocation wall-clock microseconds.
+    pub warm_micros: u64,
+    /// Memo-cache hit rate of the warm run, 0.0–1.0.
+    pub hit_rate: f64,
+    /// Memo-cache hits of the warm run.
+    pub hits: u64,
+    /// Memo-cache misses of the warm run.
+    pub misses: u64,
+    /// Resident cache bytes after the warm run.
+    pub bytes: u64,
+    /// Entries evicted across both runs.
+    pub evictions: u64,
+    /// Cold time divided by warm time (> 1 = the cache paid off).
+    pub speedup: f64,
+}
 
 /// The shape of one `incr` run.
 #[derive(Debug, Clone)]
@@ -159,8 +194,9 @@ fn timed_run(
 /// # Errors
 ///
 /// Returns a message naming the first cell whose warm (cached) result was
-/// not byte-identical to the uncached reference — the binary turns this
-/// into a nonzero exit. With [`IncrConfig::poison`] set this is the
+/// not byte-identical to the uncached reference, or whose hit counts were
+/// not exact ([`check_hits`]) — the binary turns this into a nonzero
+/// exit. With [`IncrConfig::poison`] set the byte-identity failure is the
 /// *expected* outcome; a poisoned sweep that returns `Ok` means the gate
 /// is dead.
 pub fn run_incr_sweep(
@@ -175,7 +211,7 @@ pub fn run_incr_sweep(
     let base_freq = FrequencyInfo::estimate(&base);
     let mut entries = Vec::new();
     for &dirty_pct in &cfg.dirty_pcts {
-        let (edited, _) = dirty_program(&base, dirty_pct);
+        let (edited, dirtied) = dirty_program(&base, dirty_pct);
         let edited_freq = FrequencyInfo::estimate(&edited);
         for &workers in &cfg.workers {
             let workers = workers.max(1);
@@ -235,6 +271,7 @@ pub fn run_incr_sweep(
                 evictions: after.evictions,
                 speedup: cold_micros as f64 / warm_micros.max(1) as f64,
             };
+            check_hits(&entry, dirtied)?;
             progress(&entry);
             entries.push(entry);
         }
@@ -242,48 +279,24 @@ pub fn run_incr_sweep(
     Ok(entries)
 }
 
-/// The `incr --check` gate: every current cell must match its baseline
-/// cell's hit rate (hit rates are deterministic — any drop means the
-/// cache stopped recognizing something it used to), and every 1%-dirty
-/// cell must clear the unconditional ≥ 95% hit-rate floor regardless of
-/// what the baseline says. Baseline cells absent from the current run are
-/// ignored (CI sweeps a subset of worker counts); current cells absent
-/// from the baseline pass the floor check only.
+/// The exact hit-count gate on one sweep cell: the warm run must miss
+/// on exactly the `edited` functions and hit on every other one. An extra
+/// miss means the cache stopped recognizing an unchanged function; an
+/// extra hit means it served a stale allocation for an edited one.
 ///
 /// # Errors
 ///
-/// Returns all violations, one per line, or a message when no cells
-/// overlap at all.
-pub fn check_cache(baseline: &[CacheEntry], current: &[CacheEntry]) -> Result<(), String> {
-    let mut violations = Vec::new();
-    let mut overlap = 0usize;
-    for c in current {
-        if c.dirty_pct == 1 && c.hit_rate < 0.95 {
-            violations.push(format!(
-                "{}/w{}/dirty{}%: hit rate {:.3} below the unconditional 0.95 floor",
-                c.workload, c.workers, c.dirty_pct, c.hit_rate
-            ));
-        }
-        let Some(b) = baseline.iter().find(|b| {
-            b.workload == c.workload && b.workers == c.workers && b.dirty_pct == c.dirty_pct
-        }) else {
-            continue;
-        };
-        overlap += 1;
-        if c.hit_rate < b.hit_rate - 1e-9 {
-            violations.push(format!(
-                "{}/w{}/dirty{}%: hit rate {:.3} below baseline {:.3}",
-                c.workload, c.workers, c.dirty_pct, c.hit_rate, b.hit_rate
-            ));
-        }
+/// Returns a message naming the cell and both expected and actual counts.
+pub fn check_hits(entry: &CacheEntry, edited: u64) -> Result<(), String> {
+    let expected_hits = entry.funcs.saturating_sub(edited);
+    if entry.misses == edited && entry.hits == expected_hits {
+        return Ok(());
     }
-    if !violations.is_empty() {
-        return Err(violations.join("\n"));
-    }
-    if overlap == 0 && !current.is_empty() && !baseline.is_empty() {
-        return Err("no cache sweep cells overlap between baseline and current".to_string());
-    }
-    Ok(())
+    Err(format!(
+        "HIT COUNT MISMATCH: {}/w{}/dirty{}%: {} hit(s), {} miss(es); \
+         expected {expected_hits} hit(s), {edited} miss(es) for {edited} edited function(s)",
+        entry.workload, entry.workers, entry.dirty_pct, entry.hits, entry.misses
+    ))
 }
 
 #[cfg(test)]
@@ -361,34 +374,28 @@ mod tests {
     }
 
     #[test]
-    fn check_gate_flags_floor_and_baseline_regressions() {
-        let cell = |workers: u64, dirty_pct: u64, hit_rate: f64| CacheEntry {
+    fn check_gate_flags_inexact_hit_counts() {
+        let cell = |hits: u64, misses: u64| CacheEntry {
             workload: "synth1000".to_string(),
-            workers,
-            dirty_pct,
+            workers: 4,
+            dirty_pct: 1,
             funcs: 1000,
             cold_micros: 100,
             warm_micros: 50,
-            hit_rate,
-            hits: (hit_rate * 1000.0) as u64,
-            misses: 1000 - (hit_rate * 1000.0) as u64,
+            hit_rate: hits as f64 / 1000.0,
+            hits,
+            misses,
             bytes: 1 << 20,
             evictions: 0,
             speedup: 2.0,
         };
-        let baseline = vec![cell(1, 1, 0.99), cell(4, 1, 0.99)];
-        check_cache(&baseline, &baseline).expect("identical snapshots pass");
-        // A partial run (one worker count) still checks.
-        check_cache(&baseline, &[cell(1, 1, 0.99)]).expect("partial run passes");
-        // Below baseline fails even above the floor.
-        let err = check_cache(&baseline, &[cell(1, 1, 0.96)]).unwrap_err();
-        assert!(err.contains("below baseline"), "{err}");
-        // Below the unconditional floor fails even with no baseline cell.
-        let err = check_cache(&baseline, &[cell(8, 1, 0.90)]).unwrap_err();
-        assert!(err.contains("0.95 floor"), "{err}");
-        // Disjoint snapshots are an error, not a silent pass.
-        assert!(check_cache(&baseline, &[cell(8, 10, 0.9)])
-            .unwrap_err()
-            .contains("overlap"));
+        check_hits(&cell(990, 10), 10).expect("exact counts pass");
+        check_hits(&cell(1000, 0), 0).expect("fully warm passes");
+        // One unchanged function re-allocated: an extra miss.
+        let err = check_hits(&cell(989, 11), 10).unwrap_err();
+        assert!(err.contains("synth1000/w4/dirty1%"), "{err}");
+        assert!(err.contains("expected 990 hit(s), 10 miss(es)"), "{err}");
+        // One edited function served from the cache: an extra hit.
+        check_hits(&cell(991, 9), 10).unwrap_err();
     }
 }

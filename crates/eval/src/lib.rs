@@ -7,20 +7,20 @@
 //! and `all_experiments`) print them. Every binary accepts an optional
 //! `--scale <f64>` argument that shrinks the workloads proportionally.
 //!
-//! Three binaries are not experiments. `trace` runs one allocation with
+//! Several binaries are not experiments. `trace` runs one allocation with
 //! telemetry enabled and emits the raw event stream as JSON Lines (see
 //! [`telemetry`]), optionally diffing the run against a checked-in
-//! baseline and failing on overhead regressions. `perf` runs the fixed
-//! allocator-performance matrix and writes a schema-versioned snapshot,
-//! gating aggregate throughput against a committed baseline (see
-//! [`perfsnap`]). `par` sweeps the parallel allocation driver over worker
-//! counts, verifies parallel-equals-serial on every workload, and records
-//! the speedups into the snapshot's `parallel` section (see [`parsweep`]).
-//! `loadgen` drives a live batch service open-loop and records the
-//! queue-wait / service / end-to-end latency quantiles into the
-//! snapshot's `latency` section (see [`loadgen`]). `explain` renders
-//! per-function reports saying why each web got its storage class and
-//! final location (see [`explain`]).
+//! baseline and failing on overhead regressions. `par` sweeps the
+//! parallel allocation driver over worker counts, verifies
+//! parallel-equals-serial on every workload, and gates the `workers = 1`
+//! overhead (see [`parsweep`]). `loadgen` drives a live batch service
+//! open-loop and reports the queue-wait / service / end-to-end latency
+//! quantiles (see [`loadgen`]). `quality` scores allocation quality
+//! against a committed baseline (see [`quality`]), `incr` sweeps the memo
+//! cache (see [`incr`]), and `explain` renders per-function reports
+//! saying why each web got its storage class and final location (see
+//! [`explain`]). Allocator speed is measured by the repository benchmark
+//! under `benchmark/`, not by this crate.
 //!
 //! | Experiment | Paper content | Module |
 //! |---|---|---|
@@ -54,8 +54,6 @@ pub mod explain;
 pub mod incr;
 pub mod loadgen;
 pub mod parsweep;
-pub mod perfdiff;
-pub mod perfsnap;
 pub mod plot;
 pub mod quality;
 mod table;
@@ -64,23 +62,15 @@ pub mod timeline;
 pub mod traffic;
 
 pub use bench::{load_all, Bench};
-pub use incr::{check_cache, dirty_program, run_incr_sweep, synth_program, IncrConfig};
+pub use incr::{check_hits, dirty_program, run_incr_sweep, synth_program, CacheEntry, IncrConfig};
 pub use loadgen::{
-    job_stream, run_chaosload, run_loadgen, ChaosReport, ChaosloadConfig, LoadgenConfig,
-    LoadgenReport,
+    job_stream, run_chaosload, run_loadgen, AdmissionEntry, AlertEntry, ChaosReport,
+    ChaosloadConfig, LatencyEntry, LoadgenConfig, LoadgenReport, PriorityLatency,
 };
-pub use parsweep::{
-    compare_parallel, run_par_sweep, workers1_gate, ParComparison, SWEEP_WORKER_COUNTS,
-};
-pub use perfdiff::{diff_snapshots, DiffRow, SnapshotDiff, UnmatchedRow};
-pub use perfsnap::{
-    compare_snapshots, parse_snapshot, run_matrix, AdmissionEntry, AlertEntry, BenchEntry,
-    BenchSnapshot, HostInfo, LatencyEntry, ParEntry, PerfComparison, PriorityLatency, QualityEntry,
-    BENCH_SCHEMA_VERSION,
-};
+pub use parsweep::{run_par_sweep, workers1_gate, ParEntry, SWEEP_WORKER_COUNTS};
 pub use quality::{
     compare_quality, degraded_program_allocation, quality_configs, run_quality_matrix,
-    QualityComparison, QualityDelta, QUALITY_WORKLOADS,
+    QualityComparison, QualityDelta, QualityEntry, QualityFile, QUALITY_WORKLOADS,
 };
 pub use table::{ratio, CellParseError, Table};
 pub use traffic::TrafficShape;

@@ -45,8 +45,8 @@
 //! observatory's e2e SLO is pinned to half the injected spike length —
 //! the seeded latency spikes alone push the over-SLO fraction far past
 //! the burn threshold, independent of host speed. The alert cycle and
-//! the sampled history go into the report for the snapshot's `alerts`
-//! section and the CI artifacts.
+//! the sampled history go into the report's [`AlertEntry`] rows and the
+//! CI artifacts.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -59,8 +59,8 @@ use ccra_regalloc::{
     BatchService, BatchStatus, CancelOutcome, ChaosConfig, Clock, ManualClock, Observatory,
     ObsvConfig, Priority, RejectCause, SubmitError, Tier,
 };
+use serde::Serialize;
 
-use crate::perfsnap::{AdmissionEntry, AlertEntry, LatencyEntry, PriorityLatency};
 use crate::traffic::{arrival_gaps, job_stream as stream_for_shape, TrafficShape};
 
 /// The three latency series a load-generator run measures, with the
@@ -70,6 +70,87 @@ pub const LATENCY_SERIES: [(&str, &str); 3] = [
     ("service", METRIC_JOB_MICROS),
     ("e2e", METRIC_E2E),
 ];
+
+/// One latency series of the serving path, measured driving a live
+/// [`BatchService`] open-loop at one worker count. Quantiles are
+/// log2-bucket upper bounds ([`ccra_regalloc::Histogram::quantile`]),
+/// microseconds.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct LatencyEntry {
+    /// Which latency: `"queue_wait"`, `"service"`, or `"e2e"`.
+    pub series: String,
+    /// Service workers the batch ran with.
+    pub workers: u64,
+    /// Jobs the run completed (the histogram's sample count).
+    pub jobs: u64,
+    /// Median, microseconds.
+    pub p50_us: u64,
+    /// 95th percentile, microseconds.
+    pub p95_us: u64,
+    /// 99th percentile, microseconds.
+    pub p99_us: u64,
+    /// Arithmetic mean, microseconds.
+    pub mean_us: f64,
+}
+
+/// One priority class's end-to-end latency in an overload run
+/// ([`AdmissionEntry`]). Quantiles are log2-bucket upper bounds,
+/// microseconds, over accepted jobs that produced an allocation.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct PriorityLatency {
+    /// The priority label (`"interactive"`, `"batch"`, `"background"`).
+    pub priority: String,
+    /// Accepted jobs of this class that ran.
+    pub jobs: u64,
+    /// Median end-to-end latency, microseconds.
+    pub p50_us: u64,
+    /// 99th-percentile end-to-end latency, microseconds.
+    pub p99_us: u64,
+}
+
+/// The overload accounting of one chaos storm at one worker count: what
+/// the admission limiter shed, what expired or was cancelled in the
+/// queue, what the watchdog timed out, and how each priority class's
+/// tail latency fared.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct AdmissionEntry {
+    /// Service workers the storm ran against.
+    pub workers: u64,
+    /// Submissions attempted (sheds included).
+    pub submitted: u64,
+    /// Submissions accepted (an id was issued).
+    pub accepted: u64,
+    /// Submissions the admission limiter shed.
+    pub shed: u64,
+    /// Accepted jobs whose deadline passed while queued.
+    pub expired: u64,
+    /// Accepted jobs cancelled while queued.
+    pub cancelled: u64,
+    /// Jobs whose service-time watchdog fired.
+    pub timeouts: u64,
+    /// Per-priority end-to-end quantiles of accepted jobs.
+    pub per_priority: Vec<PriorityLatency>,
+}
+
+/// One alert rule's activity during a chaos storm at one worker count,
+/// as the ops observatory saw it: how many times the rule fired, the
+/// worst value it observed while firing (for the SLO rule, the peak burn
+/// rate — a multiple of the error budget), and how long the last cycle
+/// took to clear after the storm subsided.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct AlertEntry {
+    /// Service workers the storm ran against.
+    pub workers: u64,
+    /// The alert rule name (e.g. `"e2e_p99_slo_burn"`).
+    pub rule: String,
+    /// Fire transitions across the run.
+    pub fires: u64,
+    /// Worst (largest-magnitude) value observed while firing.
+    pub worst_value: f64,
+    /// Microseconds from the last fire to its clear (0 if never fired
+    /// or still firing at the end of the run).
+    pub time_to_clear_us: u64,
+}
 
 /// Sizing and shape knobs of one load-generator run.
 #[derive(Debug, Clone, Copy)]
@@ -134,8 +215,7 @@ pub struct LoadgenReport {
     pub lost: Vec<u64>,
     /// Submission ids that produced more than one result (must be empty).
     pub duplicated: Vec<u64>,
-    /// The measured queue-wait / service / end-to-end series, ready for a
-    /// snapshot's `latency` section.
+    /// The measured queue-wait / service / end-to-end series.
     pub latency: Vec<LatencyEntry>,
     /// Memo-cache hits over the run (0 when the run had no cache, i.e.
     /// [`LoadgenConfig::rerun_per_mille`] was 0).
@@ -423,8 +503,7 @@ impl ChaosReport {
             .any(|s| s.rule == RULE_E2E_BURN && s.fires >= 1 && s.state == AlertState::Inactive)
     }
 
-    /// The snapshot `alerts` section this run measured: one entry per
-    /// rule that fired.
+    /// The alert rows this run measured: one entry per rule that fired.
     pub fn alert_entries(&self) -> Vec<AlertEntry> {
         self.alert_stats
             .iter()
@@ -439,7 +518,7 @@ impl ChaosReport {
             .collect()
     }
 
-    /// The snapshot `admission` section this run measured.
+    /// The admission row this run measured.
     pub fn admission_entry(&self) -> AdmissionEntry {
         AdmissionEntry {
             workers: self.workers,

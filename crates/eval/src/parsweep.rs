@@ -3,27 +3,22 @@
 //! [`SWEEP_WORKER_COUNTS`] against the serial pipeline, verify the outputs
 //! are identical along the way, and gate the results.
 //!
-//! Two gates ride on the sweep:
-//!
-//! * [`workers1_gate`] — the driver at `workers = 1` must not be slower
-//!   than the serial pipeline by more than a small tolerance: the sharding
-//!   machinery itself has to be near-free. The sweep runs with the flight
-//!   recorder **enabled**, takes one admission-limiter round trip
-//!   ([`ccra_regalloc::AdmissionController`]) per timed run, and polls an
-//!   enabled [`ccra_regalloc::Observatory`] once per timed run (the same
-//!   interval-gated `maybe_tick` the background sampler calls), so this
-//!   gate prices the always-on recorder, the serving path's admission
-//!   bookkeeping, *and* the ops observatory's sampling path — not an
-//!   idealized bare driver;
-//! * [`compare_parallel`] — a loose throughput comparison against the
-//!   committed baseline's `parallel` section, same spirit as
-//!   [`crate::perfsnap::compare_snapshots`] but per (workload, workers)
-//!   cell.
+//! One gate rides on the sweep: [`workers1_gate`] — the driver at
+//! `workers = 1` must not be slower than the serial pipeline by more than
+//! a small tolerance: the sharding machinery itself has to be near-free.
+//! The sweep runs with the flight recorder **enabled**, takes one
+//! admission-limiter round trip ([`ccra_regalloc::AdmissionController`])
+//! per timed run, and polls an enabled [`ccra_regalloc::Observatory`] once
+//! per timed run (the same interval-gated `maybe_tick` the background
+//! sampler calls), so this gate prices the always-on recorder, the serving
+//! path's admission bookkeeping, *and* the ops observatory's sampling path
+//! — not an idealized bare driver. Driver throughput is measured by the
+//! repository benchmark's `edit-1000` workload, not here.
 //!
 //! Speedup numbers are honest wall-clock measurements on whatever machine
 //! runs the sweep — on a single-core container the sweep records ≈ 1.0×
 //! at every worker count (and that is the *correct* answer there, which is
-//! why the CI gate bounds only the `workers = 1` overhead, not a speedup
+//! why the gate bounds only the `workers = 1` overhead, not a speedup
 //! floor).
 
 use std::time::Instant;
@@ -37,9 +32,58 @@ use ccra_regalloc::{
     AllocatorConfig, DriverSummary, FlightRecorder, MetricsRegistry, NoopSink, Observatory,
     ObsvConfig, ParallelDriver, TimelineCollector,
 };
-use ccra_workloads::{random_program, spec_program_scaled, FuzzConfig, Scale};
+use ccra_workloads::{random_program, spec_program_scaled, FuzzConfig, Scale, SpecProgram};
 
-use crate::perfsnap::{program_size, ParEntry, MATRIX_WORKLOADS};
+/// The spec workloads of the sweep: a spread over the shapes the suite
+/// contains — call-heavy integer code (eqntott, li), mixed DSP (ear), a
+/// huge basic-block floating-point function (fpppp), and a call-free
+/// vectorizable loop nest (tomcatv).
+pub const MATRIX_WORKLOADS: [SpecProgram; 5] = [
+    SpecProgram::Eqntott,
+    SpecProgram::Ear,
+    SpecProgram::Li,
+    SpecProgram::Fpppp,
+    SpecProgram::Tomcatv,
+];
+
+/// One cell of the sweep: a workload allocated through
+/// [`ParallelDriver`] at one worker count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParEntry {
+    /// The workload name.
+    pub workload: String,
+    /// The allocator configuration label.
+    pub config: String,
+    /// The register-file label.
+    pub regs: String,
+    /// Worker threads the driver was configured with.
+    pub workers: u64,
+    /// Functions in the workload.
+    pub funcs: u64,
+    /// Instructions (terminators included) in the workload.
+    pub instrs: u64,
+    /// Best-of-N parallel allocation wall-clock microseconds.
+    pub micros: u64,
+    /// Instructions allocated per second (from the best iteration).
+    pub instrs_per_sec: f64,
+    /// Serial-pipeline time divided by this entry's time (> 1 = the
+    /// driver was faster than `allocate_program`).
+    pub speedup: f64,
+}
+
+/// The size of a program: functions and instructions (block terminators
+/// included).
+fn program_size(p: &Program) -> (u64, u64) {
+    let mut funcs = 0u64;
+    let mut instrs = 0u64;
+    for (_, f) in p.functions() {
+        funcs += 1;
+        for (_, block) in f.blocks() {
+            instrs += block.insts.len() as u64 + 1; // + terminator
+        }
+    }
+    (funcs, instrs)
+}
 
 /// The worker counts the sweep measures.
 pub const SWEEP_WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -57,7 +101,7 @@ pub struct ParWorkload {
     pub program: Program,
 }
 
-/// The sweep's workloads: the five perf-matrix spec programs at `scale`,
+/// The sweep's workloads: the five [`MATRIX_WORKLOADS`] at `scale`,
 /// plus a deterministic 64-function fuzz program (scale-independent —
 /// its point is function *count*, which the spec programs lack).
 pub fn par_workloads(scale: Scale) -> Vec<ParWorkload> {
@@ -235,74 +279,6 @@ pub fn workers1_gate(parallel: &[ParEntry], threshold_pct: f64) -> Result<(), St
     }
 }
 
-/// The verdict of comparing a current sweep against a baseline's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParComparison {
-    /// Baseline aggregate throughput over overlapping cells (instrs/sec).
-    pub baseline_ips: f64,
-    /// Current aggregate throughput over overlapping cells (instrs/sec).
-    pub current_ips: f64,
-    /// Aggregate throughput change in percent (negative = slower).
-    pub delta_pct: f64,
-    /// Whether the aggregate slowdown exceeds the threshold.
-    pub regressed: bool,
-    /// Sweep cells in the baseline but missing from the current run.
-    pub missing: Vec<String>,
-}
-
-/// Compares a current sweep against a baseline's `parallel` section,
-/// failing when aggregate throughput over the overlapping cells drops
-/// more than `threshold_pct` percent.
-///
-/// # Errors
-///
-/// Fails when no sweep cells overlap.
-pub fn compare_parallel(
-    baseline: &[ParEntry],
-    current: &[ParEntry],
-    threshold_pct: f64,
-) -> Result<ParComparison, String> {
-    let mut base_micros = 0u64;
-    let mut base_instrs = 0u64;
-    let mut cur_micros = 0u64;
-    let mut cur_instrs = 0u64;
-    let mut missing = Vec::new();
-    for b in baseline {
-        let key = format!("{}/w{}", b.workload, b.workers);
-        match current.iter().find(|c| {
-            c.workload == b.workload
-                && c.config == b.config
-                && c.regs == b.regs
-                && c.workers == b.workers
-        }) {
-            None => missing.push(key),
-            Some(c) => {
-                base_micros += b.micros;
-                base_instrs += b.instrs;
-                cur_micros += c.micros;
-                cur_instrs += c.instrs;
-            }
-        }
-    }
-    if base_micros == 0 || cur_micros == 0 {
-        return Err("no parallel sweep cells overlap between baseline and current".to_string());
-    }
-    let baseline_ips = base_instrs as f64 / (base_micros as f64 / 1e6);
-    let current_ips = cur_instrs as f64 / (cur_micros as f64 / 1e6);
-    let delta_pct = if baseline_ips == 0.0 {
-        0.0
-    } else {
-        (current_ips - baseline_ips) / baseline_ips * 100.0
-    };
-    Ok(ParComparison {
-        baseline_ips,
-        current_ips,
-        delta_pct,
-        regressed: delta_pct < -threshold_pct,
-        missing,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,21 +309,6 @@ mod tests {
         assert!(err.contains("ear") && !err.contains("eqntott"), "{err}");
         workers1_gate(&sweep, 25.0).expect("0.80x passes a 25% gate");
         workers1_gate(&[], 10.0).expect("empty sweep passes vacuously");
-    }
-
-    #[test]
-    fn compare_parallel_flags_aggregate_slowdowns() {
-        let base = vec![par("eqntott", 1, 100, 1.0), par("eqntott", 4, 100, 1.0)];
-        let slow = vec![par("eqntott", 1, 150, 1.0), par("eqntott", 4, 150, 1.0)];
-        let cmp = compare_parallel(&base, &slow, 20.0).expect("comparable");
-        assert!(cmp.regressed, "50% more time trips a 20% gate");
-        let cmp = compare_parallel(&base, &base.clone(), 20.0).expect("comparable");
-        assert!(!cmp.regressed);
-        assert_eq!(cmp.delta_pct, 0.0);
-        let partial = vec![par("eqntott", 1, 100, 1.0)];
-        let cmp = compare_parallel(&base, &partial, 20.0).expect("comparable");
-        assert_eq!(cmp.missing, vec!["eqntott/w4".to_string()]);
-        assert!(compare_parallel(&base, &[], 20.0).is_err(), "no overlap");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Allocation-quality snapshots: the fixed workload × allocator ×
-//! register-file matrix the `quality` binary scores, and the comparison
-//! behind its `--check` regression gate.
+//! Allocation-quality scores: the fixed workload × allocator ×
+//! register-file matrix the `quality` binary scores, the plain
+//! [`QualityFile`] it writes and checks, and the comparison behind its
+//! `--check` regression gate.
 //!
-//! Where the `perf` matrix ([`crate::perfsnap`]) asks "how fast does the
-//! allocator run", this matrix asks "how good is the code it produces" —
-//! and whether the cost model the allocator optimizes against still
-//! predicts what the code actually does. Every cell allocates one
+//! Where the repository benchmark asks "how fast does the allocator run",
+//! this matrix asks "how good is the code it produces" — and whether
+//! the cost model the allocator optimizes against still predicts what
+//! the code actually does. Every cell allocates one
 //! workload, scores the result with [`ccra_regalloc::score_program`]
 //! (frequency-weighted estimate priced by the DECstation
 //! [`CycleModel`], plus an interpreter replay measuring the overhead ops
@@ -19,7 +20,7 @@
 //!
 //! Per-phase memory profiling rides along: each cell arms the allocator's
 //! thread-local tally ([`ccra_regalloc::memprof_start`]) around the
-//! allocation, so the snapshot also answers "what did the allocation
+//! allocation, so the scores also answer "what did the allocation
 //! cost in working-set bytes", phase by phase.
 //!
 //! The `--degrade <workload>` escape hatch replaces the configured
@@ -36,16 +37,80 @@ use ccra_regalloc::{
     ProgramAllocation, QualityReport,
 };
 use ccra_workloads::{spec_program_scaled, Scale, SpecProgram};
-
-use crate::perfsnap::{matrix_files, QualityEntry};
+use serde::{Deserialize, Serialize};
 
 /// The workloads of the fixed quality matrix: the paper's two running
 /// examples (eqntott, ear) plus the deep call tree of li — all
 /// call-heavy, so the call-cost decisions under test dominate the score.
-/// A subset of the perf matrix: every cell pays an interpreter replay,
-/// which is far slower than the allocation itself.
+/// Few workloads on purpose: every cell pays an interpreter replay, which
+/// is far slower than the allocation itself.
 pub const QUALITY_WORKLOADS: [SpecProgram; 3] =
     [SpecProgram::Eqntott, SpecProgram::Ear, SpecProgram::Li];
+
+/// The register files of the fixed quality matrix, with stable labels.
+pub fn matrix_files() -> Vec<(String, RegisterFile)> {
+    vec![
+        ("mips".to_string(), RegisterFile::mips_full()),
+        ("tight".to_string(), RegisterFile::new(8, 6, 2, 2)),
+    ]
+}
+
+/// One cell of the quality matrix: a workload under one allocator on one
+/// register file, scored by the allocation-quality observatory
+/// ([`ccra_regalloc::quality`]). The estimated numbers are deterministic
+/// — a pure function of workload, allocator, and register file — so any
+/// change between runs is an allocation-quality change, which is exactly
+/// what the `quality --check` gate trips on.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QualityEntry {
+    /// The workload name.
+    pub workload: String,
+    /// The allocator configuration label (e.g. `"SC+BS+PR"`).
+    pub config: String,
+    /// The register-file label (see [`matrix_files`]).
+    pub regs: String,
+    /// Estimated execution cycles (weighted useful instructions plus the
+    /// estimated overhead, priced by the DECstation cycle model).
+    pub estimated_cycles: f64,
+    /// Estimated spill overhead ops (frequency-weighted).
+    pub est_spill_ops: f64,
+    /// Estimated caller-save overhead ops.
+    pub est_caller_save_ops: f64,
+    /// Estimated callee-save overhead ops.
+    pub est_callee_save_ops: f64,
+    /// Estimated shuffle-move ops.
+    pub est_shuffle_ops: f64,
+    /// Overhead operations the interpreter actually executed replaying
+    /// the allocated program (0 when the replay failed).
+    pub measured_overhead_ops: f64,
+    /// Measured execution cycles (0 when the replay failed).
+    pub measured_cycles: f64,
+    /// Estimate-vs-measured drift of total overhead ops, percent of the
+    /// measured value (0 when the replay failed or measured nothing).
+    pub drift_pct: f64,
+    /// Whether the interpreter replay succeeded.
+    pub replay_ok: bool,
+    /// Live ranges spilled across the program.
+    pub spilled_ranges: u64,
+    /// Functions that took the degraded spill-everything fallback.
+    pub degraded_funcs: u64,
+    /// Peak resident-bytes estimate across pipeline phases (the memory
+    /// profile's high-water mark; see
+    /// [`ccra_regalloc::MemProfile::peak_bytes`]).
+    pub mem_peak_bytes: u64,
+    /// Allocation events the memory profile recorded.
+    pub mem_allocs: u64,
+}
+
+/// What `quality --out` writes and `quality --check` reads: the scale the
+/// matrix ran at and its cells, as plain JSON.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QualityFile {
+    /// The workload scale the matrix ran at.
+    pub scale: f64,
+    /// One entry per matrix cell, in matrix order.
+    pub quality: Vec<QualityEntry>,
+}
 
 /// The allocator configurations of the fixed quality matrix: the paper's
 /// base allocator, the full improvement set, and the callee-save-aware
@@ -218,14 +283,14 @@ fn cell_key(e: &QualityEntry) -> String {
     format!("{} [{}] {}", e.workload, e.config, e.regs)
 }
 
-/// Compares two quality sections: exceeding `threshold` percent more
+/// Compares two runs' quality cells: exceeding `threshold` percent more
 /// estimated cycles — per cell or in aggregate — is a regression, as is
 /// a baseline cell missing from the current run. Cheaper is never a
-/// regression (the gate is one-sided, like the perf gate).
+/// regression (the gate is one-sided).
 ///
 /// # Errors
 ///
-/// Returns an error when the baseline has no quality section to compare
+/// Returns an error when the baseline has no quality cells to compare
 /// against (regenerate it with the `quality` binary).
 pub fn compare_quality(
     baseline: &[QualityEntry],
@@ -234,7 +299,7 @@ pub fn compare_quality(
 ) -> Result<QualityComparison, String> {
     if baseline.is_empty() {
         return Err(
-            "baseline has no quality section; regenerate it with the quality binary".to_string(),
+            "baseline has no quality cells; regenerate it with the quality binary".to_string(),
         );
     }
     let mut per_entry = Vec::new();

@@ -1,20 +1,18 @@
-//! Doc-drift guards: every `BENCH_<n>` reference in the living docs and
-//! the CI workflow must name the current snapshot schema version, and
-//! every backticked allocation entry point in the living docs must name a
-//! `pub fn` that exists in `ccra-regalloc`.
+//! Doc-drift guards on the living docs and the CI workflow: no
+//! `BENCH_<n>` snapshot reference remains, every `--bin <name>` names a
+//! binary that exists, and every backticked allocation entry point names
+//! a `pub fn` that exists in `ccra-regalloc`.
 //!
 //! History files (CHANGES.md, ROADMAP.md, ISSUE.md) legitimately mention
-//! old snapshot names and deleted entry points and are exempt; the files
-//! checked here describe the *current* interface, where a stale name means
-//! a reader runs the wrong command, calls a function that is gone, or CI
-//! gates the wrong artifact.
+//! retired snapshot names, deleted binaries and deleted entry points and
+//! are exempt; the files checked here describe the *current* interface,
+//! where a stale name means a reader runs the wrong command, calls a
+//! function that is gone, or CI calls a binary that no longer exists.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use ccra_eval::perfsnap::BENCH_SCHEMA_VERSION;
-
-/// Repo-root-relative files that must only reference the current schema.
+/// Repo-root-relative files that describe the current commands.
 const LIVING_DOCS: [&str; 4] = [
     "README.md",
     "DESIGN.md",
@@ -25,6 +23,10 @@ const LIVING_DOCS: [&str; 4] = [
 /// Repo-root-relative docs whose entry-point names must exist.
 const ENTRY_POINT_DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
 
+/// The binary of the repository benchmark, which lives outside
+/// `crates/eval/src/bin`.
+const BENCHMARK_BIN: &str = "benchmark";
+
 fn repo_root() -> std::path::PathBuf {
     // crates/eval -> crates -> repo root.
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -32,6 +34,11 @@ fn repo_root() -> std::path::PathBuf {
         .nth(2)
         .expect("repo root exists")
         .to_path_buf()
+}
+
+fn read_doc(root: &Path, doc: &str) -> String {
+    let path = root.join(doc);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
 /// Every `BENCH_<digits>` occurrence in `text`, with its line number.
@@ -56,31 +63,17 @@ fn bench_refs(text: &str) -> Vec<(usize, u32)> {
 }
 
 #[test]
-fn living_docs_reference_only_the_current_bench_schema() {
+fn living_docs_reference_no_bench_snapshot() {
     let root = repo_root();
     let mut stale = Vec::new();
-    let mut total = 0;
     for doc in LIVING_DOCS {
-        let path = root.join(doc);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        for (line, version) in bench_refs(&text) {
-            total += 1;
-            if version != BENCH_SCHEMA_VERSION {
-                stale.push(format!(
-                    "{doc}:{line}: BENCH_{version} (current schema is {BENCH_SCHEMA_VERSION})"
-                ));
-            }
+        for (line, version) in bench_refs(&read_doc(&root, doc)) {
+            stale.push(format!("{doc}:{line}: BENCH_{version}"));
         }
     }
     assert!(
-        total > 0,
-        "no BENCH_<n> references found in {LIVING_DOCS:?} — \
-         the guard is grepping the wrong files"
-    );
-    assert!(
         stale.is_empty(),
-        "stale BENCH_<n> references — update the docs alongside the schema bump:\n{}",
+        "the BENCH_<n> snapshot is retired; these references remain:\n{}",
         stale.join("\n")
     );
 }
@@ -89,6 +82,69 @@ fn living_docs_reference_only_the_current_bench_schema() {
 fn bench_ref_extraction_is_exact() {
     let refs = bench_refs("see BENCH_6.json and BENCH_12_par.json\nBENCH_ alone\nBENCH_3");
     assert_eq!(refs, vec![(1, 6), (1, 12), (3, 3)]);
+}
+
+/// Every binary name following `--bin` in `text`, with its line number.
+fn bin_refs(text: &str) -> Vec<(usize, String)> {
+    let mut refs = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let mut words = line.split_whitespace();
+        while let Some(word) = words.next() {
+            if word.trim_start_matches('`') == "--bin" {
+                if let Some(name) = words.next() {
+                    refs.push((lineno + 1, ident(name).to_string()));
+                }
+            }
+        }
+    }
+    refs
+}
+
+#[test]
+fn living_docs_name_only_existing_binaries() {
+    let root = repo_root();
+    let bin_dir = root.join("crates/eval/src/bin");
+    assert!(
+        bin_dir.join("trace.rs").is_file(),
+        "no trace.rs in {} — the guard is reading the wrong directory",
+        bin_dir.display()
+    );
+    let mut stale = Vec::new();
+    let mut total = 0;
+    for doc in LIVING_DOCS {
+        for (line, name) in bin_refs(&read_doc(&root, doc)) {
+            total += 1;
+            if name != BENCHMARK_BIN && !bin_dir.join(format!("{name}.rs")).is_file() {
+                stale.push(format!("{doc}:{line}: --bin {name}"));
+            }
+        }
+    }
+    assert!(
+        total > 0,
+        "no --bin references found in {LIVING_DOCS:?} — \
+         the guard is grepping the wrong files"
+    );
+    assert!(
+        stale.is_empty(),
+        "--bin names a binary that does not exist — update the docs or CI \
+         alongside the binaries:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn bin_ref_extraction_is_exact() {
+    let refs = bin_refs(
+        "cargo run --bin perf -- --iters 3\n--bin\n  cargo run -p x --bin trace`, `--bin quality --",
+    );
+    assert_eq!(
+        refs,
+        vec![
+            (1, "perf".to_string()),
+            (3, "trace".to_string()),
+            (3, "quality".to_string())
+        ]
+    );
 }
 
 /// The leading Rust identifier of `s`.
@@ -153,10 +209,7 @@ fn living_docs_name_only_existing_entry_points() {
     let mut stale = Vec::new();
     let mut total = 0;
     for doc in ENTRY_POINT_DOCS {
-        let path = root.join(doc);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        for (line, name) in entry_point_refs(&text) {
+        for (line, name) in entry_point_refs(&read_doc(&root, doc)) {
             total += 1;
             if !names.contains(&name) {
                 stale.push(format!(

@@ -53,7 +53,7 @@ pub use builder::FunctionBuilder;
 pub use entity::{BlockId, EntityVec, FuncId, VReg};
 pub use function::{Block, Function, VRegData};
 pub use inst::{BinOp, Callee, CmpOp, Inst, OverheadKind, SpillSlot, Terminator, UnOp};
-pub use parse::{parse_function, parse_program, ParseError};
+pub use parse::{parse_function, parse_program, ParseError, MAX_DECLARED};
 pub use print::display_function;
 pub use program::Program;
 pub use stablehash::{StableHash, StableHasher};

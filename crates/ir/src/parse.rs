@@ -24,6 +24,16 @@ use crate::function::{Block, Function, VRegData};
 use crate::inst::{BinOp, Callee, CmpOp, Inst, SpillSlot, Terminator, UnOp};
 use crate::{FuncId, Program, RegClass};
 
+/// The most virtual registers or spill slots one parsed function may
+/// declare: vreg ids must be below it and `slots <n>` at most it.
+///
+/// The parser builds a dense vreg table sized by the largest declared id
+/// and creates one spill slot per counted slot, so without a bound a
+/// one-line input (`int v4000000000`) would allocate gigabytes. The limit
+/// is orders of magnitude above any real function — the SPEC workloads
+/// and fuzz programs declare at most a few thousand of each.
+pub const MAX_DECLARED: u32 = 1 << 20;
+
 /// A textual-IR parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -433,7 +443,14 @@ impl<'a> Parser<'a> {
                         Some(t) => (t, true),
                         None => (tok, false),
                     };
-                    classes.insert(parse_vreg(line, tok)?, (class, is_temp));
+                    let v = parse_vreg(line, tok)?;
+                    if v.0 >= MAX_DECLARED {
+                        return err(
+                            line,
+                            format!("vreg id {} is not below the limit {MAX_DECLARED}", v.0),
+                        );
+                    }
+                    classes.insert(v, (class, is_temp));
                 }
                 self.pos += 1;
             } else if let Some(n) = text.strip_prefix("slots ") {
@@ -441,6 +458,12 @@ impl<'a> Parser<'a> {
                     line,
                     message: "bad slot count".into(),
                 })?;
+                if slots > MAX_DECLARED {
+                    return err(
+                        line,
+                        format!("slot count {slots} exceeds the limit {MAX_DECLARED}"),
+                    );
+                }
                 self.pos += 1;
             } else {
                 break;
@@ -607,6 +630,31 @@ mod tests {
         assert_eq!(e.line, 3);
         let e = parse_function("func f() {\n  int v0\nbb0:\n  br v0 : bb0 ? bb0\n}").unwrap_err();
         assert_eq!(e.line, 4);
+    }
+
+    #[test]
+    fn huge_declarations_are_errors_not_allocations() {
+        let e = parse_function("func f() {\n  int v4000000000\nbb0:\n  ret\n}").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("limit"), "{e}");
+        let e = parse_function("func f() {\n  slots 4000000000\nbb0:\n  ret\n}").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("limit"), "{e}");
+        // The limit itself: the last id below it and a count equal to it
+        // are accepted.
+        let last = MAX_DECLARED - 1;
+        let f = parse_function(&format!("func f() {{\n  int v{last}\nbb0:\n  ret\n}}")).unwrap();
+        assert_eq!(f.num_vregs(), MAX_DECLARED as usize);
+        let e = parse_function(&format!(
+            "func f() {{\n  int v{MAX_DECLARED}\nbb0:\n  ret\n}}"
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 2);
+        let f = parse_function(&format!(
+            "func f() {{\n  slots {MAX_DECLARED}\nbb0:\n  ret\n}}"
+        ))
+        .unwrap();
+        assert_eq!(f.num_spill_slots(), MAX_DECLARED);
     }
 
     #[test]

@@ -35,12 +35,13 @@
 //!   [`BatchHandle`] view (`/metrics`, `/healthz`, `/status`, per-request
 //!   `/trace/<id>`, `/debug/flightrec`).
 //!
-//! The `ccra-eval` `par` binary sweeps worker counts over the perf
-//! workloads with the driver and records the speedup into the
-//! `BENCH_8.json` snapshot; the `timeline` binary captures one traced
-//! batch as a Perfetto-loadable timeline; the `loadgen` binary drives the
-//! batch service open-loop (`--chaos` adds a seeded overload storm) and
-//! records the latency and admission sections of the same snapshot.
+//! The `ccra-eval` `par` binary sweeps worker counts over five SPEC
+//! workloads with the driver and gates its `workers = 1` overhead; the
+//! `timeline` binary captures one traced batch as a Perfetto-loadable
+//! timeline; the `loadgen` binary drives the batch service open-loop
+//! (`--chaos` adds a seeded overload storm) and reports its latency and
+//! admission rows. Driver throughput is measured by the repository
+//! benchmark's `edit-1000` workload.
 
 pub mod admission;
 pub mod batch;

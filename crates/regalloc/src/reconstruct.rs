@@ -19,8 +19,7 @@
 //! The over-approximation can only *add* edges relative to a rebuild, so
 //! colorings stay conflict-free; allocation quality is typically identical
 //! (temporaries are far below any bank's size in degree). Enable it with
-//! [`crate::AllocatorConfig::incremental_reconstruction`]; the
-//! `reconstruction` Criterion bench measures the compile-time win.
+//! [`crate::AllocatorConfig::incremental_reconstruction`].
 
 use std::collections::{HashMap, HashSet};
 

@@ -1,7 +1,7 @@
 //! The metrics layer's pipeline contract:
 //!
 //! * an instrumented run populates the counters, gauges, and per-phase
-//!   histograms the perf harness depends on, and its aggregates agree with
+//!   histograms the work-count gate depends on, and its aggregates agree with
 //!   the per-event trace stream;
 //! * a disabled registry records nothing and does not perturb the
 //!   allocation (same results as the plain entry point);

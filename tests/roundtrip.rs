@@ -1,7 +1,7 @@
 //! Textual IR round-trips: display → parse → display is the identity, for
 //! every workload function and for random programs.
 
-use ccra_ir::{display_function, parse_function, parse_program};
+use ccra_ir::{display_function, parse_function, parse_program, MAX_DECLARED};
 use ccra_workloads::{random_program, spec_program_scaled, FuzzConfig, Scale, SpecProgram};
 use proptest::prelude::*;
 
@@ -64,9 +64,11 @@ fn whole_programs_roundtrip_and_run_identically() {
 }
 
 /// Malformed input is a `ParseError`, never a panic: the printed SPEC
-/// programs, truncated, with bytes overwritten by IR punctuation, or with
-/// the delimiters of one line mirrored (`f(v0)` becomes `f)v0(`), parse to
-/// `Ok` or `Err`.
+/// programs, truncated, with bytes overwritten by IR punctuation, with
+/// the delimiters of one line mirrored (`f(v0)` becomes `f)v0(`), or with
+/// one number of a declaration line (`int v3`, `slots 2`) raised above
+/// [`MAX_DECLARED`], parse to `Ok` or `Err` — and the raised declaration
+/// always to `Err`, without sizing anything by it.
 #[test]
 fn mutated_programs_never_panic_the_parser() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -75,9 +77,45 @@ fn mutated_programs_never_panic_the_parser() {
     for prog in SpecProgram::ALL {
         let p = spec_program_scaled(prog, Scale(0.05));
         let text: String = p.functions().map(|(_, f)| display_function(f)).collect();
+        let declarations: Vec<usize> = text
+            .match_indices('\n')
+            .map(|(i, _)| i + 1)
+            .filter(|&i| {
+                let line = &text[i..];
+                line.starts_with("  int ")
+                    || line.starts_with("  float ")
+                    || line.starts_with("  slots ")
+            })
+            .collect();
         for _ in 0..100 {
             let mut bytes = text.as_bytes().to_vec();
             let at = rng.gen_range(0..bytes.len());
+            if rng.gen_range(0..4) == 0 {
+                let line = declarations[rng.gen_range(0..declarations.len())];
+                let digits = line
+                    + bytes[line..]
+                        .iter()
+                        .position(u8::is_ascii_digit)
+                        .expect("a declaration line has a number");
+                let end = digits
+                    + bytes[digits..]
+                        .iter()
+                        .position(|b| !b.is_ascii_digit())
+                        .unwrap_or(bytes.len() - digits);
+                let limit = u64::from(MAX_DECLARED);
+                let big = match rng.gen_range(0..3) {
+                    0 => limit + rng.gen_range(1..16),
+                    1 => rng.gen_range(limit + 1..=u64::from(u32::MAX)),
+                    _ => rng.gen_range(u64::from(u32::MAX) + 1..u64::MAX),
+                };
+                bytes.splice(digits..end, big.to_string().into_bytes());
+                let mutated = String::from_utf8(bytes).expect("digits are ASCII");
+                assert!(
+                    parse_program(&mutated).is_err(),
+                    "{prog}: a declared number of {big} was accepted"
+                );
+                continue;
+            }
             match rng.gen_range(0..3) {
                 0 => bytes.truncate(at),
                 1 => bytes[at] = ALPHABET[rng.gen_range(0..ALPHABET.len())],
