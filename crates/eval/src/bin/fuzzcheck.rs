@@ -27,7 +27,8 @@ use ccra_analysis::{run, FrequencyInfo, InterpConfig};
 use ccra_eval::degraded_program_allocation;
 use ccra_machine::{CostModel, RegisterFile};
 use ccra_regalloc::{
-    allocate_program, check_allocation, measured_overhead, AllocatorConfig, PriorityOrdering,
+    allocate_program, check_allocation, measured_overhead, AllocatorConfig, MetricsRegistry,
+    PriorityOrdering,
 };
 use ccra_workloads::{random_program, FuzzConfig};
 
@@ -123,7 +124,13 @@ fn main() -> ExitCode {
             .map(|(label, config)| (label, allocate_program(&program, &freq, file, &config)))
             .chain(std::iter::once((
                 "spill-everywhere",
-                degraded_program_allocation(&program, &freq, &file, &CostModel::paper()),
+                degraded_program_allocation(
+                    &program,
+                    &freq,
+                    &file,
+                    &CostModel::paper(),
+                    &mut MetricsRegistry::disabled(),
+                ),
             )));
         for (label, out) in allocations {
             let out = match out {

@@ -8,11 +8,13 @@
 //! ```
 //!
 //! * `--scale` — workload scale (default 1.0).
-//! * `--iters` — timed iterations per cell; the fastest is kept
-//!   (default 3).
-//! * `--w1-threshold` — the driver at `workers = 1` must not be slower
-//!   than the serial pipeline by more than this many percent (default
-//!   10); exit 1 otherwise.
+//! * `--iters` — timed iterations per cell (default 3). At `workers = 1`
+//!   each iteration is a serial run and a driver run back to back,
+//!   alternating which goes first; at other worker counts the fastest
+//!   iteration is kept.
+//! * `--w1-threshold` — the median of the `workers = 1` pairs'
+//!   serial/driver ratios must not fall more than this many percent below
+//!   1 (default 10); exit 1 otherwise.
 //!
 //! Speedups are wall-clock honest: on a single-core machine every worker
 //! count measures ≈ 1.0×, and that is the number printed.

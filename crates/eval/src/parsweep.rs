@@ -6,7 +6,11 @@
 //! One gate rides on the sweep: [`workers1_gate`] — the driver at
 //! `workers = 1` must not be slower than the serial pipeline by more than
 //! a small tolerance: the sharding machinery itself has to be near-free.
-//! The sweep runs with the flight recorder **enabled**, takes one
+//! The comparison is paired: each serial run is timed back to back with a
+//! `workers = 1` run, alternating which goes first, and the gate reads the
+//! median of the per-pair ratios ([`paired_speedup`]), so a noisy moment
+//! on a shared machine hits both sides of one pair instead of one side of
+//! the whole comparison. The sweep runs with the flight recorder **enabled**, takes one
 //! admission-limiter round trip ([`ccra_regalloc::AdmissionController`])
 //! per timed run, and polls an enabled [`ccra_regalloc::Observatory`] once
 //! per timed run (the same interval-gated `maybe_tick` the background
@@ -30,7 +34,7 @@ use ccra_regalloc::driver::DefaultJob;
 use ccra_regalloc::{
     allocate_program_instrumented, AdmissionConfig, AdmissionController, AllocRequest,
     AllocatorConfig, DriverSummary, FlightRecorder, MetricsRegistry, NoopSink, Observatory,
-    ObsvConfig, ParallelDriver, TimelineCollector,
+    ObsvConfig, ParallelDriver, ProgramAllocation, TimelineCollector,
 };
 use ccra_workloads::{random_program, spec_program_scaled, FuzzConfig, Scale, SpecProgram};
 
@@ -67,7 +71,9 @@ pub struct ParEntry {
     /// Instructions allocated per second (from the best iteration).
     pub instrs_per_sec: f64,
     /// Serial-pipeline time divided by this entry's time (> 1 = the
-    /// driver was faster than `allocate_program`).
+    /// driver was faster than `allocate_program`): at `workers = 1` the
+    /// median ratio of the paired runs ([`paired_speedup`]), otherwise
+    /// best serial over best parallel.
     pub speedup: f64,
 }
 
@@ -127,8 +133,91 @@ pub fn par_workloads(scale: Scale) -> Vec<ParWorkload> {
     out
 }
 
-/// Runs the sweep: for each workload, a best-of-`iters` serial reference
-/// and a best-of-`iters` [`ParallelDriver`] run per worker count, each
+/// The median of the per-pair ratios `serial_us / driver_us` — the
+/// `workers = 1` speedup of a paired comparison (1.0 without pairs).
+pub fn paired_speedup(pairs: &[(u64, u64)]) -> f64 {
+    let mut ratios: Vec<f64> = pairs
+        .iter()
+        .map(|&(serial, driver)| serial.max(1) as f64 / driver.max(1) as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    match ratios.len() {
+        0 => 1.0,
+        n if n % 2 == 1 => ratios[n / 2],
+        n => (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0,
+    }
+}
+
+/// One timed serial-pipeline run.
+fn time_serial(req: &AllocRequest<'_>, name: &str) -> (u64, ProgramAllocation) {
+    let start = Instant::now();
+    let out = allocate_program_instrumented(req, &mut NoopSink, &mut MetricsRegistry::disabled())
+        .unwrap_or_else(|e| panic!("{name} failed to allocate: {e}"));
+    (start.elapsed().as_micros() as u64, out)
+}
+
+/// The driver at one worker count with the serving-path instruments the
+/// sweep prices (see the module docs).
+struct TimedDriver {
+    driver: ParallelDriver,
+    flight: FlightRecorder,
+    admission: AdmissionController,
+    obsv: Observatory,
+}
+
+impl TimedDriver {
+    fn new(workers: usize) -> Self {
+        TimedDriver {
+            driver: ParallelDriver::new(workers),
+            // Enabled on purpose: the sweep's timings (and the workers=1
+            // gate) must include the always-on flight recorder's cost.
+            flight: FlightRecorder::new(workers + 1),
+            // One limiter round trip per timed run, like the batch
+            // service takes per job — the gate prices its bookkeeping.
+            // Closed-loop, so the window never fills and nothing sheds.
+            admission: AdmissionController::new(AdmissionConfig::default()),
+            // An enabled observatory, polled once per timed run exactly
+            // like the background sampler polls it — mostly the cheap
+            // interval-gate branch, occasionally a real sample — so the
+            // workers=1 gate prices the sampling path too.
+            obsv: Observatory::new(ObsvConfig {
+                sampler_thread: false,
+                ..ObsvConfig::default()
+            }),
+        }
+    }
+
+    /// One timed run.
+    fn run(&self, req: &AllocRequest<'_>, name: &str) -> (u64, ProgramAllocation, DriverSummary) {
+        let start = Instant::now();
+        self.admission
+            .try_admit()
+            .expect("a closed-loop sweep never fills the admission window");
+        let (out, report, _timeline) = self
+            .driver
+            .allocate_program_cached(
+                req,
+                &mut NoopSink,
+                &mut MetricsRegistry::disabled(),
+                &DefaultJob,
+                &TimelineCollector::disabled(),
+                self.flight.view(0),
+                None,
+            )
+            .unwrap_or_else(|e| {
+                let workers = self.driver.workers();
+                panic!("{name} failed on {workers} worker(s): {e}")
+            });
+        self.admission
+            .on_complete(start.elapsed().as_micros() as u64);
+        self.obsv.maybe_tick(&MetricsRegistry::disabled());
+        (start.elapsed().as_micros() as u64, out, report.summary())
+    }
+}
+
+/// Runs the sweep: for each workload, `iters` serial runs each paired
+/// with a `workers = 1` driver run (alternating which goes first), then a
+/// best-of-`iters` [`ParallelDriver`] run per other worker count, each
 /// verified byte-identical to the serial result. Calls `progress` after
 /// each finished entry with the entry and the final iteration's
 /// [`DriverSummary`] (job/degraded/panic counts are deterministic; the
@@ -149,93 +238,57 @@ pub fn run_par_sweep(
     let file = RegisterFile::mips_full();
     let mut entries = Vec::new();
     for workload in par_workloads(scale) {
+        let name = &workload.name;
         let freq = FrequencyInfo::profile(&workload.program)
-            .unwrap_or_else(|e| panic!("{} failed to profile: {e}", workload.name));
+            .unwrap_or_else(|e| panic!("{name} failed to profile: {e}"));
         let (funcs, instrs) = program_size(&workload.program);
+        let req = AllocRequest {
+            program: &workload.program,
+            freq: &freq,
+            file,
+            config: &config,
+            cost: &cost,
+        };
 
         let mut serial_micros = u64::MAX;
         let mut serial_alloc = None;
-        for _ in 0..iters.max(1) {
-            let start = Instant::now();
-            let req = AllocRequest {
-                program: &workload.program,
-                freq: &freq,
-                file,
-                config: &config,
-                cost: &cost,
-            };
-            let out = allocate_program_instrumented(
-                &req,
-                &mut NoopSink,
-                &mut MetricsRegistry::disabled(),
-            )
-            .unwrap_or_else(|e| panic!("{} failed to allocate: {e}", workload.name));
-            serial_micros = serial_micros.min(start.elapsed().as_micros() as u64);
-            serial_alloc = Some(out);
-        }
-        let serial_alloc = serial_alloc.expect("at least one serial iteration ran");
-
         for workers in SWEEP_WORKER_COUNTS {
-            let driver = ParallelDriver::new(workers);
-            // Enabled on purpose: the sweep's timings (and the workers=1
-            // gate) must include the always-on flight recorder's cost.
-            let flight = FlightRecorder::new(workers + 1);
-            // One limiter round trip per timed run, like the batch
-            // service takes per job — the gate prices its bookkeeping.
-            // Closed-loop, so the window never fills and nothing sheds.
-            let admission = AdmissionController::new(AdmissionConfig::default());
-            // An enabled observatory, polled once per timed run exactly
-            // like the background sampler polls it — mostly the cheap
-            // interval-gate branch, occasionally a real sample — so the
-            // workers=1 gate prices the sampling path too.
-            let obsv = Observatory::new(ObsvConfig {
-                sampler_thread: false,
-                ..ObsvConfig::default()
-            });
-            let scrape = MetricsRegistry::disabled();
-            let collector = TimelineCollector::disabled();
+            let timed = TimedDriver::new(workers);
+            let mut pairs = Vec::new();
             let mut best_micros = u64::MAX;
             let mut summary = None;
-            for _ in 0..iters.max(1) {
-                let req = AllocRequest {
-                    program: &workload.program,
-                    freq: &freq,
-                    file,
-                    config: &config,
-                    cost: &cost,
+            for i in 0..iters.max(1) {
+                let (micros, out, run_summary) = if workers == 1 {
+                    let ((serial_us, serial_out), driver_run) = if i % 2 == 0 {
+                        let serial = time_serial(&req, name);
+                        (serial, timed.run(&req, name))
+                    } else {
+                        let driver_run = timed.run(&req, name);
+                        (time_serial(&req, name), driver_run)
+                    };
+                    serial_micros = serial_micros.min(serial_us);
+                    serial_alloc = Some(serial_out);
+                    pairs.push((serial_us, driver_run.0));
+                    driver_run
+                } else {
+                    timed.run(&req, name)
                 };
-                let start = Instant::now();
-                admission
-                    .try_admit()
-                    .expect("a closed-loop sweep never fills the admission window");
-                let (out, report, _timeline) = driver
-                    .allocate_program_cached(
-                        &req,
-                        &mut NoopSink,
-                        &mut MetricsRegistry::disabled(),
-                        &DefaultJob,
-                        &collector,
-                        flight.view(0),
-                        None,
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("{} failed on {workers} worker(s): {e}", workload.name)
-                    });
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                admission.on_complete(elapsed_us);
-                obsv.maybe_tick(&scrape);
-                best_micros = best_micros.min(start.elapsed().as_micros() as u64);
                 assert!(
-                    out == serial_alloc,
-                    "{}: parallel result at {workers} worker(s) differs from serial",
-                    workload.name
+                    serial_alloc.as_ref() == Some(&out),
+                    "{name}: parallel result at {workers} worker(s) differs from serial"
                 );
-                summary = Some(report.summary());
+                best_micros = best_micros.min(micros);
+                summary = Some(run_summary);
             }
             let summary = summary.expect("at least one parallel iteration ran");
             let secs = best_micros.max(1) as f64 / 1e6;
+            let speedup = if workers == 1 {
+                paired_speedup(&pairs)
+            } else {
+                serial_micros as f64 / best_micros.max(1) as f64
+            };
             let entry = ParEntry {
-                workload: workload.name.clone(),
+                workload: name.clone(),
                 config: config.label(),
                 regs: "mips".to_string(),
                 workers: workers as u64,
@@ -243,7 +296,7 @@ pub fn run_par_sweep(
                 instrs,
                 micros: best_micros,
                 instrs_per_sec: instrs as f64 / secs,
-                speedup: serial_micros as f64 / best_micros.max(1) as f64,
+                speedup,
             };
             progress(&entry, &summary);
             entries.push(entry);
@@ -254,7 +307,8 @@ pub fn run_par_sweep(
 
 /// The `workers = 1` overhead gate: the driver with one worker runs jobs
 /// inline, so it must stay within `threshold_pct` percent of the serial
-/// pipeline on every workload.
+/// pipeline on every workload. The sweep's `workers = 1` speedup is the
+/// median of its paired ratios ([`paired_speedup`]).
 ///
 /// # Errors
 ///
@@ -309,6 +363,35 @@ mod tests {
         assert!(err.contains("ear") && !err.contains("eqntott"), "{err}");
         workers1_gate(&sweep, 25.0).expect("0.80x passes a 25% gate");
         workers1_gate(&[], 10.0).expect("empty sweep passes vacuously");
+
+        // Synthetic (serial_us, driver_us) pairs on both sides of a 10%
+        // bound: the gate reads their median ratio, so one noisy pair
+        // cannot trip it, but a driver slow in most pairs does.
+        let paired = |name: &str, pairs: &[(u64, u64)]| par(name, 1, 100, paired_speedup(pairs));
+        let one_noisy_pair = [(100, 100), (100, 200), (100, 101), (100, 99), (100, 102)];
+        let just_inside = [(91, 100), (92, 100), (300, 100), (50, 100)];
+        let just_outside = [(89, 100), (88, 100), (100, 100), (80, 100), (150, 100)];
+        let slow_every_pair = [(100, 125), (100, 124), (100, 126)];
+        assert!((paired_speedup(&one_noisy_pair) - 100.0 / 101.0).abs() < 1e-12);
+        assert!((paired_speedup(&just_inside) - 0.915).abs() < 1e-12);
+        workers1_gate(&[paired("eqntott", &one_noisy_pair)], 10.0)
+            .expect("one 0.5x pair among five near 1.0x passes");
+        workers1_gate(&[paired("eqntott", &just_inside)], 10.0).expect("median 0.915x passes");
+        let err = workers1_gate(
+            &[
+                paired("eqntott", &one_noisy_pair),
+                paired("li", &just_outside),
+                paired("ear", &slow_every_pair),
+            ],
+            10.0,
+        )
+        .expect_err("medians 0.89x and 0.80x trip a 10% gate");
+        assert!(
+            err.contains("li (0.89x)") && err.contains("ear (0.80x)"),
+            "{err}"
+        );
+        assert!(!err.contains("eqntott"), "{err}");
+        assert_eq!(paired_speedup(&[]), 1.0);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! estimate tautologically equal to the measurement. The drift column is
 //! only informative when the estimate can be wrong.
 //!
-//! Per-phase memory profiling rides along: each cell arms the allocator's
-//! thread-local tally ([`ccra_regalloc::memprof_start`]) around the
-//! allocation, so the scores also answer "what did the allocation
-//! cost in working-set bytes", phase by phase.
+//! Memory accounting rides along: each cell allocates into an enabled
+//! [`MetricsRegistry`] and reads back the pipeline's working-set records
+//! ([`ccra_regalloc::METRIC_MEM_PEAK`] and
+//! [`ccra_regalloc::METRIC_MEM_RECORDS`]), so the scores also answer
+//! "what did the allocation cost in working-set bytes".
 //!
 //! The `--degrade <workload>` escape hatch replaces the configured
 //! allocator with the spill-everything fallback on one workload — an
@@ -31,10 +32,11 @@
 use ccra_analysis::FrequencyInfo;
 use ccra_ir::Program;
 use ccra_machine::{CostModel, CycleModel, RegisterFile};
+use ccra_regalloc::driver::{ChaosJob, DefaultJob, Fault};
 use ccra_regalloc::{
-    allocate_program_instrumented, degraded_allocation, memprof_finish, memprof_start,
-    score_program, AllocError, AllocRequest, AllocatorConfig, MetricsRegistry, NoopSink, Overhead,
-    ProgramAllocation, QualityReport,
+    allocate_program_instrumented, score_program, AllocError, AllocRequest, AllocatorConfig,
+    FlightRecorder, MetricsRegistry, NoopSink, ParallelDriver, ProgramAllocation, QualityReport,
+    TimelineCollector, METRIC_MEM_PEAK, METRIC_MEM_RECORDS,
 };
 use ccra_workloads::{spec_program_scaled, Scale, SpecProgram};
 use serde::{Deserialize, Serialize};
@@ -94,11 +96,11 @@ pub struct QualityEntry {
     pub spilled_ranges: u64,
     /// Functions that took the degraded spill-everything fallback.
     pub degraded_funcs: u64,
-    /// Peak resident-bytes estimate across pipeline phases (the memory
-    /// profile's high-water mark; see
-    /// [`ccra_regalloc::MemProfile::peak_bytes`]).
+    /// Peak working-set estimate, bytes
+    /// ([`ccra_regalloc::METRIC_MEM_PEAK`]).
     pub mem_peak_bytes: u64,
-    /// Allocation events the memory profile recorded.
+    /// Working-set estimates recorded
+    /// ([`ccra_regalloc::METRIC_MEM_RECORDS`]).
     pub mem_allocs: u64,
 }
 
@@ -125,7 +127,9 @@ pub fn quality_configs() -> Vec<AllocatorConfig> {
 
 /// Allocates every function of `program` through the spill-everything
 /// fallback, bypassing the configured allocator — the injected quality
-/// regression behind `--degrade`.
+/// regression behind `--degrade`. An injected error on every function
+/// sends each one down the driver's degraded path, which records into
+/// `metrics` like any allocation.
 ///
 /// # Errors
 ///
@@ -136,25 +140,27 @@ pub fn degraded_program_allocation(
     freq: &FrequencyInfo,
     file: &RegisterFile,
     cost: &CostModel,
+    metrics: &mut MetricsRegistry,
 ) -> Result<ProgramAllocation, AllocError> {
-    let mut sink = NoopSink;
-    let mut rewritten = Program::new();
-    let mut per_func = Vec::with_capacity(program.num_functions());
-    let mut overhead = Overhead::zero();
-    for (id, f) in program.functions() {
-        let (body, alloc) = degraded_allocation(f, freq.func(id), file, cost, &mut sink)?;
-        overhead += alloc.overhead;
-        rewritten.add_function(body);
-        per_func.push(alloc);
-    }
-    if let Some(main) = program.main() {
-        rewritten.set_main(main);
-    }
-    Ok(ProgramAllocation {
-        program: rewritten,
-        per_func,
-        overhead,
-    })
+    let req = AllocRequest {
+        program,
+        freq,
+        file: *file,
+        // The fallback never consults the configuration.
+        config: &AllocatorConfig::base(),
+        cost,
+    };
+    let refuse_all = ChaosJob::new(&DefaultJob, Fault::Error, 0);
+    let (alloc, _, _) = ParallelDriver::new(1).allocate_program_cached(
+        &req,
+        &mut NoopSink,
+        metrics,
+        &refuse_all,
+        &TimelineCollector::disabled(),
+        FlightRecorder::disabled().view(0),
+        None,
+    )?;
+    Ok(alloc)
 }
 
 fn entry_of(
@@ -162,7 +168,7 @@ fn entry_of(
     config_label: &str,
     regs: &str,
     report: &QualityReport,
-    mem: Option<&ccra_regalloc::MemProfile>,
+    metrics: &MetricsRegistry,
 ) -> QualityEntry {
     QualityEntry {
         workload: workload.to_string(),
@@ -179,8 +185,8 @@ fn entry_of(
         replay_ok: report.replay_error.is_none(),
         spilled_ranges: report.funcs.iter().map(|f| f.spilled_ranges as u64).sum(),
         degraded_funcs: report.degraded_funcs() as u64,
-        mem_peak_bytes: mem.map_or(0, |m| m.peak_bytes()),
-        mem_allocs: mem.map_or(0, |m| m.total_allocs()),
+        mem_peak_bytes: metrics.gauge(METRIC_MEM_PEAK).unwrap_or(0.0) as u64,
+        mem_allocs: metrics.counter(METRIC_MEM_RECORDS),
     }
 }
 
@@ -212,9 +218,9 @@ pub fn run_quality_matrix(
         let freq = FrequencyInfo::estimate(&program);
         for config in quality_configs() {
             for (regs_label, file) in matrix_files() {
-                memprof_start();
+                let mut metrics = MetricsRegistry::new();
                 let alloc = if degrade == Some(workload.name()) {
-                    degraded_program_allocation(&program, &freq, &file, &cost)?
+                    degraded_program_allocation(&program, &freq, &file, &cost, &mut metrics)?
                 } else {
                     let req = AllocRequest {
                         program: &program,
@@ -223,20 +229,15 @@ pub fn run_quality_matrix(
                         config: &config,
                         cost: &cost,
                     };
-                    allocate_program_instrumented(
-                        &req,
-                        &mut NoopSink,
-                        &mut MetricsRegistry::disabled(),
-                    )?
+                    allocate_program_instrumented(&req, &mut NoopSink, &mut metrics)?
                 };
-                let mem = memprof_finish();
                 let report = score_program(&alloc, &freq, &config.label(), &cycles);
                 let entry = entry_of(
                     workload.name(),
                     &config.label(),
                     &regs_label,
                     &report,
-                    mem.as_ref(),
+                    &metrics,
                 );
                 progress(&entry);
                 entries.push(entry);
@@ -387,7 +388,7 @@ mod tests {
         // scoring under estimates).
         assert!(honest.iter().all(|e| e.replay_ok));
         assert!(honest.iter().any(|e| e.drift_pct != 0.0));
-        // Memory profiling was armed around every allocation.
+        // Every allocation recorded its working set.
         assert!(honest
             .iter()
             .all(|e| e.mem_peak_bytes > 0 && e.mem_allocs > 0));

@@ -142,7 +142,7 @@ mod tests {
         validate_chrome_trace(&json, report.workers).expect("export validates");
         let summary = timeline.summary();
         assert_eq!(summary.lanes.iter().map(|l| l.jobs).sum::<u64>(), 4);
-        assert!(report.scheduler.counter("driver_jobs_total") == 4);
+        assert_eq!(report.jobs_per_worker.iter().sum::<u64>(), 4);
     }
 
     #[test]

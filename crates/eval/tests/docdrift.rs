@@ -1,7 +1,9 @@
 //! Doc-drift guards on the living docs and the CI workflow: no
 //! `BENCH_<n>` snapshot reference remains, every `--bin <name>` names a
-//! binary that exists, and every backticked allocation entry point names
-//! a `pub fn` that exists in `ccra-regalloc`.
+//! binary that exists, every backticked allocation entry point names a
+//! `pub fn` that exists in `ccra-regalloc`, and every backticked
+//! `BatchConfig::<name>` or `DriverReport::<name>` names a field or
+//! method those types have.
 //!
 //! History files (CHANGES.md, ROADMAP.md, ISSUE.md) legitimately mention
 //! retired snapshot names, deleted binaries and deleted entry points and
@@ -238,5 +240,140 @@ fn entry_point_extraction_is_exact() {
     assert_eq!(
         refs,
         vec![(1, "allocate_program".to_string()), (1, "new".to_string())]
+    );
+}
+
+/// The types whose backticked `Type::<name>` references must name a
+/// field or method that exists.
+const MEMBER_TYPES: [&str; 2] = ["BatchConfig", "DriverReport"];
+
+/// The `.rs` files under `dir`, concatenated.
+fn sources(dir: &Path, out: &mut String) {
+    for entry in std::fs::read_dir(dir).expect("source directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push_str(&std::fs::read_to_string(&path).expect("source file is readable"));
+            out.push('\n');
+        }
+    }
+}
+
+/// The field and method names of `ty` in rustfmt-formatted `src`: the
+/// `pub` fields of `pub struct ty` and every `fn` of an `impl` block for
+/// it, each item running from its unindented header to its unindented
+/// closing brace.
+fn members(src: &str, ty: &str) -> BTreeSet<String> {
+    let headers = [
+        format!("pub struct {ty} {{"),
+        format!("impl {ty} {{"),
+        format!(" for {ty} {{"),
+    ];
+    let mut names = BTreeSet::new();
+    let mut inside = false;
+    for line in src.lines() {
+        if !inside {
+            inside = !line.starts_with(' ')
+                && (line == headers[0] || line == headers[1] || line.ends_with(&headers[2]));
+            continue;
+        }
+        if line == "}" {
+            inside = false;
+            continue;
+        }
+        let Some(item) = line.strip_prefix("    ") else {
+            continue;
+        };
+        let item = item.strip_prefix("pub ").unwrap_or(item);
+        let name = ident(item);
+        if let Some(rest) = item.strip_prefix("fn ") {
+            names.insert(ident(rest).to_string());
+        } else if !name.is_empty() && item[name.len()..].starts_with(':') {
+            names.insert(name.to_string());
+        }
+    }
+    names
+}
+
+/// Every `<ty>::<name>` inside a backticked span of `text` for a type of
+/// [`MEMBER_TYPES`], with its line number.
+fn member_refs(text: &str) -> Vec<(usize, String, String)> {
+    let mut refs = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        for span in line.split('`').skip(1).step_by(2) {
+            for ty in MEMBER_TYPES {
+                let pat = format!("{ty}::");
+                for (i, _) in span.match_indices(&pat) {
+                    let inside_ident =
+                        span[..i].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_');
+                    let name = ident(&span[i + pat.len()..]);
+                    if !inside_ident && !name.is_empty() {
+                        refs.push((lineno + 1, ty.to_string(), name.to_string()));
+                    }
+                }
+            }
+        }
+    }
+    refs
+}
+
+#[test]
+fn living_docs_name_only_existing_config_and_report_members() {
+    let root = repo_root();
+    let mut src = String::new();
+    sources(&root.join("crates/regalloc/src"), &mut src);
+    let known: Vec<BTreeSet<String>> = MEMBER_TYPES.iter().map(|ty| members(&src, ty)).collect();
+    for (ty, names) in MEMBER_TYPES.iter().zip(&known) {
+        assert!(
+            names.contains("workers"),
+            "no `{ty}::workers` found — the guard is reading the wrong sources"
+        );
+    }
+    let mut stale = Vec::new();
+    let mut total = 0;
+    for doc in ENTRY_POINT_DOCS {
+        for (line, ty, name) in member_refs(&read_doc(&root, doc)) {
+            total += 1;
+            let at = MEMBER_TYPES
+                .iter()
+                .position(|t| *t == ty)
+                .expect("a member type");
+            if !known[at].contains(&name) {
+                stale.push(format!(
+                    "{doc}:{line}: `{ty}::{name}` is neither a field nor a method"
+                ));
+            }
+        }
+    }
+    assert!(
+        total > 0,
+        "no BatchConfig/DriverReport references found in {ENTRY_POINT_DOCS:?} — \
+         the guard is grepping the wrong files"
+    );
+    assert!(
+        stale.is_empty(),
+        "stale field or method references — update the docs alongside the types:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn member_extraction_is_exact() {
+    let src = "pub struct BatchConfig {\n    /// Docs: not a field.\n    pub workers: usize,\n    \
+               pub cache: Option<Arc<AllocCache>>,\n}\n\nimpl Default for BatchConfig {\n    \
+               fn default() -> Self {\n        BatchConfig { workers: 2 }\n    }\n}\n\n\
+               impl Other {\n    pub fn stray(&self) {}\n}\n";
+    let names: Vec<String> = members(src, "BatchConfig").into_iter().collect();
+    assert_eq!(names, ["cache", "default", "workers"]);
+    let refs = member_refs(
+        "`BatchConfig::workers` and `DriverReport::steals()`\nnot `MyBatchConfig::x`, BatchConfig::y",
+    );
+    assert_eq!(
+        refs,
+        vec![
+            (1, "BatchConfig".to_string(), "workers".to_string()),
+            (1, "DriverReport".to_string(), "steals".to_string()),
+        ]
     );
 }

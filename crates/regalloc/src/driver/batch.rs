@@ -34,11 +34,11 @@
 //!   the cost estimate (Σ instrs × expected spill rounds) breaking
 //!   deadline ties toward short jobs. A job whose deadline passed while
 //!   queued resolves as [`BatchStatus::DeadlineExpired`] without running
-//!   (its backdated queue span is still recorded).
+//!   (its queue span is still recorded).
 //! * **Cancellation** ([`BatchHandle::cancel`]): queued jobs resolve as
 //!   [`BatchStatus::Cancelled`]; in-flight jobs run to completion; done
-//!   jobs are untouched — race-free via a per-id phase table that workers
-//!   and cancellers both lock.
+//!   jobs are untouched — race-free via the per-id ledger entry that
+//!   workers and cancellers both lock.
 //! * **Per-job timeout** ([`BatchConfig::job_timeout`]): a cooperative
 //!   watchdog ([`crate::driver::TimeoutJob`]) on service time; on expiry
 //!   the remaining functions take the spill-everything degraded fallback
@@ -64,20 +64,29 @@
 //! [`crate::driver::status`] HTTP endpoint serves. Service metrics are
 //! wall-clock and scheduling facts: they stay out of allocation results.
 //!
+//! Every per-job fact lives in one ledger behind one lock: each accepted
+//! id's lifecycle entry, the results in completion order, the service
+//! metrics, the quality aggregate, and the retained flight dumps. A worker
+//! touches it twice per job — at pick-up and at resolve — and every
+//! outcome (ran, expired, cancelled) resolves through the same path, so
+//! each read of the handle (`/status` included) is one consistent
+//! snapshot.
+//!
 //! # Request-scoped tracing
 //!
 //! Every submission gets a trace identity — its submission id, rendered
-//! `req-<id>` — and, unless [`BatchConfig::trace_requests`] is off, a
-//! [`RequestTrace`]: queue-wait / service / end-to-end durations plus a
-//! per-request [`Timeline`] whose clock starts at the submission instant
-//! ([`TimelineCollector::enabled_since`]). The timeline carries the
-//! queue-wait span, the shard workers' job and phase spans, the driver's
-//! merge span, the whole service span, and a reply instant — renderable
-//! directly by [`crate::trace::chrometrace`] and served per request at
-//! `/trace/<id>`. Traces ride on [`BatchResult::trace`] and in a bounded
-//! recent-trace buffer ([`BatchConfig::trace_capacity`]); like every other
-//! scheduling fact they are quarantined — program output stays
-//! byte-identical to serial whether or not tracing is on.
+//! `req-<id>` — and a [`RequestTrace`]: queue-wait / service / end-to-end
+//! durations plus a per-request [`Timeline`] whose clock starts at the
+//! submission instant ([`TimelineCollector::enabled_since`]). The timeline
+//! carries the queue-wait span, the shard workers' job and phase spans,
+//! the driver's merge span, the whole service span, and a reply instant —
+//! renderable directly by [`crate::trace::chrometrace`] and served per
+//! request at `/trace/<id>`. Traces ride on [`BatchResult::trace`]; the
+//! live service serves any completed job's trace from its ledger, and
+//! [`BatchService::shutdown`] keeps the traces of the last 32 completed
+//! jobs so `/trace/<id>` still answers for them afterwards. Like every
+//! other scheduling fact they are quarantined — program output stays
+//! byte-identical to serial.
 //!
 //! # Flight recorder
 //!
@@ -96,7 +105,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,12 +119,14 @@ use crate::driver::chaos::{ChaosConfig, ChaosJob, Fault};
 use crate::driver::flightrec::{FlightKind, FlightRecorder, FlightView};
 use crate::driver::parallel::{AllocJob, DefaultJob, ParallelDriver, TimeoutJob};
 use crate::driver::queue::{BoundedQueue, PushError, QueueStats};
-use crate::driver::timeline::{InstantKind, SpanKind, Timeline, TimelineCollector};
-use crate::metrics::MetricsRegistry;
+use crate::driver::timeline::{
+    InstantKind, Lane, SpanKind, Timeline, TimelineCollector, TimelineEvent,
+};
+use crate::metrics::{Histogram, MetricsRegistry};
 use crate::obsv::{AlertTransition, Observatory};
 use crate::pipeline::AllocRequest;
 use crate::pipeline::ProgramAllocation;
-use crate::quality::score_program;
+use crate::quality::{score_program, QualityReport};
 use crate::trace::chrometrace::to_chrome_trace;
 use crate::trace::NoopSink;
 use crate::types::{AllocatorConfig, Overhead};
@@ -158,6 +169,10 @@ pub const METRIC_E2E_BACKGROUND: &str = "batch_e2e_micros_background";
 /// How many automatic flight-record dumps the service retains.
 const FLIGHT_DUMP_KEEP: usize = 8;
 
+/// How many request traces [`BatchService::shutdown`] keeps for
+/// `/trace/<id>`: those of the most recently completed jobs.
+const TRACE_KEEP: usize = 32;
+
 /// Version of the `/status` document shape. v1 was the pre-observatory
 /// document; v2 added `uptime_us` and this `build` object.
 pub const STATUS_SCHEMA_VERSION: u32 = 2;
@@ -172,15 +187,6 @@ pub struct BatchConfig {
     /// Per-program [`ParallelDriver`] workers (1 = allocate each
     /// program's functions serially within its service worker).
     pub shard_workers: usize,
-    /// Whether each submission records a [`RequestTrace`] (a per-request
-    /// timeline on the submission clock). Off, requests still get ids,
-    /// latency histograms, and flight-recorder coverage — just no
-    /// timeline.
-    pub trace_requests: bool,
-    /// How many recent [`RequestTrace`]s the service retains for
-    /// `/trace/<id>` queries (per-result copies on [`BatchResult::trace`]
-    /// are unaffected).
-    pub trace_capacity: usize,
     /// The admission limiter; `None` (the default) keeps the legacy
     /// blocking-backpressure-only behavior. `Some` makes `submit` shed
     /// ([`RejectCause::Shed`]) when the AIMD window is full.
@@ -227,8 +233,6 @@ impl Default for BatchConfig {
             workers: 2,
             queue_capacity: 16,
             shard_workers: 1,
-            trace_requests: true,
-            trace_capacity: 32,
             admission: None,
             job_timeout: None,
             chaos: None,
@@ -292,21 +296,18 @@ impl Priority {
 /// histogram absent or empty — reports `{jobs: 0, p50: 0, p99: 0}` rather
 /// than disappearing, so dashboards keyed on the class names never 404.
 pub fn per_priority_latency(m: &MetricsRegistry) -> Value {
+    let empty = Histogram::new();
     Value::Obj(
         Priority::ALL
             .iter()
             .map(|p| {
-                let (p50, p99, count) = m.histogram(p.e2e_metric()).map_or((0, 0, 0), |h| {
-                    (h.quantile(0.5), h.quantile(0.99), h.count())
-                });
-                (
-                    p.label().to_string(),
-                    Value::Obj(vec![
-                        ("jobs".to_string(), Value::Int(count as i64)),
-                        ("p50".to_string(), Value::Int(p50 as i64)),
-                        ("p99".to_string(), Value::Int(p99 as i64)),
-                    ]),
-                )
+                let h = m.histogram(p.e2e_metric()).unwrap_or(&empty);
+                let class = obj(vec![
+                    ("jobs", int(h.count())),
+                    ("p50", int(h.quantile(0.5))),
+                    ("p99", int(h.quantile(0.99))),
+                ]);
+                (p.label().to_string(), class)
             })
             .collect(),
     )
@@ -571,21 +572,24 @@ pub struct BatchResult {
     /// Wall-clock microseconds the job took (profiling included); 0 when
     /// it never ran.
     pub micros: u64,
-    /// The request-scoped trace, absent when
-    /// [`BatchConfig::trace_requests`] is off.
+    /// The request-scoped trace; every result the service resolves
+    /// carries one.
     pub trace: Option<RequestTrace>,
 }
 
 /// Where an accepted submission is in its lifecycle — the cancellation
-/// state machine: `Queued → Running → Resolved`, with `Queued →
-/// Resolved` for cancellations and expiries. Workers and cancellers
-/// serialize on the table's lock, so exactly one side wins each
-/// transition.
+/// state machine: `Queued → Running → Done`, with `Queued → Done` for
+/// cancellations and expiries. Workers and cancellers serialize on the
+/// ledger lock, so exactly one side wins each transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum JobPhase {
-    Queued { cancelled: bool },
+enum Entry {
+    Queued {
+        cancelled: bool,
+    },
     Running,
-    Resolved,
+    /// Resolved; its result sits at this position of [`Ledger::results`]
+    /// until shutdown hands the results out.
+    Done(usize),
 }
 
 /// The scheduling key workers pop the minimum of: priority class, then
@@ -634,8 +638,8 @@ impl QueuedJob {
 }
 
 /// The service-wide quality aggregate (jobs scored so far): sums of the
-/// per-job program scores, folded under the shared metrics lock's
-/// sibling. Deterministic given the set of scored jobs — sums commute.
+/// per-job program scores. Deterministic given the set of scored jobs —
+/// sums commute.
 #[derive(Debug, Default, Clone)]
 struct QualityAgg {
     jobs_scored: u64,
@@ -646,25 +650,78 @@ struct QualityAgg {
     measured_cycles: f64,
 }
 
+impl QualityAgg {
+    fn add(&mut self, quality: &QualityReport) {
+        self.jobs_scored += 1;
+        self.estimated += quality.estimated;
+        self.estimated_cycles += quality.estimated_cycles;
+        match quality.measured {
+            Some(measured) => {
+                self.measured += measured;
+                self.measured_cycles += quality.measured_cycles.unwrap_or(0.0);
+            }
+            None => self.replay_failures += 1,
+        }
+    }
+}
+
+/// Every per-job fact the service records, behind the one lock of
+/// [`Shared::ledger`] (see the module docs).
+#[derive(Default)]
+struct Ledger {
+    /// One lifecycle entry per accepted id.
+    entries: HashMap<u64, Entry>,
+    /// How many entries are [`Entry::Running`].
+    running: u64,
+    /// Resolved results in completion order.
+    results: Vec<BatchResult>,
+    /// The service metrics (the `batch_*` names).
+    metrics: MetricsRegistry,
+    quality: QualityAgg,
+    /// Retained automatic flight dumps, oldest first, each tagged with the
+    /// id whose resolution triggered it.
+    dumps: VecDeque<(u64, Value)>,
+    /// The traces [`BatchService::shutdown`] keeps after handing the
+    /// results out.
+    kept_traces: HashMap<u64, RequestTrace>,
+}
+
+impl Ledger {
+    /// The result of a resolved id the ledger still holds.
+    fn result(&self, id: u64) -> Option<&BatchResult> {
+        match self.entries.get(&id) {
+            Some(Entry::Done(at)) => self.results.get(*at),
+            _ => None,
+        }
+    }
+
+    /// The results held, sorted by submission id.
+    fn results_by_id(&self) -> Vec<&BatchResult> {
+        let mut done: Vec<&BatchResult> = self.results.iter().collect();
+        done.sort_by_key(|r| r.id);
+        done
+    }
+}
+
+/// Functions a status says degraded.
+fn degraded_of(status: &BatchStatus) -> usize {
+    match status {
+        BatchStatus::Degraded { funcs, .. } => *funcs,
+        _ => 0,
+    }
+}
+
 struct Shared {
     queue: BoundedQueue<QueuedJob>,
-    results: Mutex<Vec<BatchResult>>,
-    metrics: Mutex<MetricsRegistry>,
-    phases: Mutex<HashMap<u64, JobPhase>>,
+    ledger: Mutex<Ledger>,
     admission: Option<AdmissionController>,
-    in_flight: AtomicU64,
     cost: CostModel,
     shard_workers: usize,
-    trace_requests: bool,
-    trace_capacity: usize,
     job_timeout: Option<Duration>,
     chaos: Option<ChaosConfig>,
     score_quality: bool,
     cache: Option<Arc<crate::cache::AllocCache>>,
-    quality: Mutex<QualityAgg>,
-    traces: Mutex<VecDeque<RequestTrace>>,
     flight: FlightRecorder,
-    dumps: Mutex<VecDeque<(u64, Value)>>,
     obsv: Option<Arc<Observatory>>,
     /// The flight lane alert transitions record on (the last lane).
     /// Single-writer discipline: whoever drives ticks — the background
@@ -674,11 +731,18 @@ struct Shared {
 }
 
 impl Shared {
+    fn ledger(&self) -> MutexGuard<'_, Ledger> {
+        self.ledger.lock().expect("batch ledger lock")
+    }
+
     /// The live metrics plus scrape-time gauges — the one snapshot shape
     /// both [`BatchHandle::metrics_snapshot`] and the observatory sampler
     /// read.
     fn scraped_metrics(&self) -> MetricsRegistry {
-        let mut m = self.metrics.lock().expect("batch metrics lock").clone();
+        let ledger = self.ledger();
+        let mut m = ledger.metrics.clone();
+        m.gauge_set("batch_in_flight", ledger.running as f64);
+        drop(ledger);
         let stats = self.queue.stats();
         m.gauge_set("batch_queue_depth", stats.depth as f64);
         m.gauge_set(
@@ -687,10 +751,6 @@ impl Shared {
         );
         m.gauge_set("batch_queue_high_water", stats.high_water as f64);
         m.gauge_set("batch_queue_blocked_pushes", stats.blocked_pushes as f64);
-        m.gauge_set(
-            "batch_in_flight",
-            self.in_flight.load(Ordering::Relaxed) as f64,
-        );
         if let Some(adm) = &self.admission {
             let snap = adm.snapshot();
             m.gauge_set("batch_admission_limit", snap.limit);
@@ -733,6 +793,96 @@ impl Shared {
                 .record(self.obsv_lane, kind, t.rule_index as u64, value);
         }
     }
+
+    /// The pick-up transition of the state machine: a cancelled or
+    /// expired job comes back as the status it resolves with, without
+    /// running; anything else goes [`Entry::Running`].
+    fn pick_up(&self, id: u64, deadline_at: Option<Instant>) -> Option<BatchStatus> {
+        let mut ledger = self.ledger();
+        if ledger.entries.get(&id) == Some(&Entry::Queued { cancelled: true }) {
+            return Some(BatchStatus::Cancelled);
+        }
+        if deadline_at.is_some_and(|at| Instant::now() >= at) {
+            return Some(BatchStatus::DeadlineExpired);
+        }
+        ledger.entries.insert(id, Entry::Running);
+        ledger.running += 1;
+        None
+    }
+
+    /// Resolves an accepted submission — the single exit of the per-id
+    /// state machine, whether the job ran, expired, or was cancelled. One
+    /// ledger acquisition counts the outcome, folds the job's quality
+    /// score, retains a flight dump for a degraded or failed job, and
+    /// stores the result. The admission callback and the flight-recorder
+    /// serialization run outside the lock.
+    fn resolve(
+        &self,
+        queued_at: Instant,
+        priority: Priority,
+        result: BatchResult,
+        quality: Option<QualityReport>,
+    ) {
+        let e2e = queued_at.elapsed().as_micros() as u64;
+        if let Some(adm) = &self.admission {
+            match result.status {
+                // A deadline miss is congestion evidence: back the window
+                // off just like an over-SLO completion.
+                BatchStatus::DeadlineExpired => adm.on_miss(),
+                // Cancellation says nothing about load: free the slot,
+                // leave the window alone.
+                BatchStatus::Cancelled => adm.release(),
+                _ => adm.on_complete(e2e),
+            }
+        }
+        let dump = matches!(
+            result.status,
+            BatchStatus::Degraded { .. } | BatchStatus::Failed { .. }
+        )
+        .then(|| self.flight.dump());
+
+        let mut guard = self.ledger();
+        let ledger = &mut *guard;
+        let m = &mut ledger.metrics;
+        match &result.status {
+            BatchStatus::DeadlineExpired => m.inc(METRIC_EXPIRED),
+            BatchStatus::Cancelled => m.inc(METRIC_CANCELLED),
+            ran => {
+                m.observe(METRIC_QUEUE_WAIT, e2e.saturating_sub(result.micros));
+                m.observe(METRIC_JOB_MICROS, result.micros);
+                m.observe(METRIC_E2E, e2e);
+                match ran {
+                    BatchStatus::Failed { .. } => m.inc(METRIC_FAILED),
+                    BatchStatus::Degraded { cause, .. } => {
+                        m.inc(METRIC_DEGRADED);
+                        if *cause == DegradeCause::Timeout {
+                            m.inc(METRIC_TIMEOUTS);
+                        }
+                        m.observe(priority.e2e_metric(), e2e);
+                    }
+                    _ => {
+                        m.inc(METRIC_COMPLETED);
+                        m.observe(priority.e2e_metric(), e2e);
+                    }
+                }
+            }
+        }
+        if let Some(quality) = &quality {
+            quality.export_metrics(m);
+            ledger.quality.add(quality);
+        }
+        if let Some(dump) = dump {
+            if ledger.dumps.len() >= FLIGHT_DUMP_KEEP {
+                ledger.dumps.pop_front();
+            }
+            ledger.dumps.push_back((result.id, dump));
+        }
+        let done = Entry::Done(ledger.results.len());
+        if ledger.entries.insert(result.id, done) == Some(Entry::Running) {
+            ledger.running -= 1;
+        }
+        ledger.results.push(result);
+    }
 }
 
 /// The batch allocation service (see the module docs).
@@ -744,11 +894,71 @@ pub struct BatchService {
     sampler: Option<JoinHandle<()>>,
 }
 
-/// Runs one submission on a service worker: builds the request-scoped
-/// collector (clock zero = the submission instant), records the
-/// queue-wait and service spans plus service-level flight events, shards
-/// the program through [`ParallelDriver`], and assembles the
-/// [`BatchResult`] with its [`RequestTrace`].
+/// One request's trace in the making: the collector whose clock starts at
+/// the submission instant, the service lane, and the queue wait measured
+/// at pick-up.
+struct RequestClock {
+    collector: TimelineCollector,
+    lane: Lane,
+    queue_us: u64,
+}
+
+impl RequestClock {
+    /// Starts at pick-up: the queue wait is the time since submission.
+    fn pick_up(queued_at: Instant, shard_workers: usize) -> Self {
+        let collector = TimelineCollector::enabled_since(queued_at);
+        let lane = collector.lane(shard_workers as u32 + 1);
+        let queue_us = collector.now_us();
+        RequestClock {
+            collector,
+            lane,
+            queue_us,
+        }
+    }
+
+    /// The trace tail every resolution shares: the queue-wait span from
+    /// submission to pick-up, the reply instant, and the [`RequestTrace`]
+    /// around `timeline` (the driver's, empty for a job that never ran).
+    /// `unrun` labels the queue span and the reply of a job resolved
+    /// without running.
+    fn finish(
+        mut self,
+        id: u64,
+        name: &str,
+        mut timeline: Timeline,
+        service_us: u64,
+        unrun: Option<&str>,
+    ) -> RequestTrace {
+        timeline.events.push(TimelineEvent::Span {
+            tid: self.lane.tid(),
+            kind: SpanKind::Queue,
+            name: "queue wait".to_string(),
+            detail: unrun.map(str::to_string),
+            start_us: 0,
+            dur_us: self.queue_us,
+        });
+        self.lane.instant(InstantKind::Reply, || match unrun {
+            Some(label) => format!("reply ({label})"),
+            None => "reply".to_string(),
+        });
+        let e2e_us = self.collector.now_us();
+        timeline.events.extend(self.lane.into_events());
+        RequestTrace {
+            id,
+            name: name.to_string(),
+            queue_us: self.queue_us,
+            service_us,
+            e2e_us,
+            timeline,
+        }
+    }
+}
+
+/// Runs one submission on a service worker: records the service span and
+/// service-level flight events, shards the program through
+/// [`ParallelDriver`] under the request's clock, scores it when the
+/// service scores quality, and assembles the [`BatchResult`] with its
+/// [`RequestTrace`].
 ///
 /// `flight` is the worker's lane block: shard workers record on view
 /// lanes `0..shard_workers`, the service-level events land on view lane
@@ -760,26 +970,12 @@ fn run_batch_job(
     shared: &Shared,
     flight: FlightView<'_>,
     queued_at: Instant,
-) -> BatchResult {
+) -> (BatchResult, Option<QualityReport>) {
     let start = Instant::now();
     let shard_workers = shared.shard_workers;
-    let service_tid = shard_workers as u32 + 1;
-    let collector = if shared.trace_requests {
-        TimelineCollector::enabled_since(queued_at)
-    } else {
-        TimelineCollector::disabled()
-    };
-    let mut lane = collector.lane(service_tid);
-    // The queue-wait span: submission (the epoch) to pick-up (now).
-    let queue_us = collector.now_us();
-    lane.backdated_span(
-        SpanKind::Queue,
-        queue_us,
-        || "queue wait".to_string(),
-        || None,
-    );
+    let mut clock = RequestClock::pick_up(queued_at, shard_workers);
     flight.record(shard_workers as u32, FlightKind::JobStart, id, 0);
-    let service_span = lane.start();
+    let service_span = clock.lane.start();
 
     // Chaos: the per-submission fault is a pure function of (seed, id).
     // A latency spike is a service-level fault, applied once before the
@@ -810,6 +1006,7 @@ fn run_batch_job(
     let job_ref: &dyn AllocJob = timeout_job.as_ref().map_or(inner, |t| t as &dyn AllocJob);
 
     let driver = ParallelDriver::new(shard_workers);
+    let mut quality = None;
     let (status, allocation, timeline) = match FrequencyInfo::profile(&job.program) {
         Err(e) => (
             BatchStatus::Failed {
@@ -831,7 +1028,7 @@ fn run_batch_job(
                 &mut NoopSink,
                 &mut MetricsRegistry::disabled(),
                 job_ref,
-                &collector,
+                &clock.collector,
                 flight,
                 shared.cache.as_deref(),
             ) {
@@ -844,26 +1041,12 @@ fn run_batch_job(
                 ),
                 Ok((alloc, report, timeline)) => {
                     if shared.score_quality {
-                        let quality = score_program(
+                        quality = Some(score_program(
                             &alloc,
                             &freq,
                             &job.config.label(),
                             &CycleModel::decstation(),
-                        );
-                        quality.export_metrics(
-                            &mut shared.metrics.lock().expect("batch metrics lock"),
-                        );
-                        let mut agg = shared.quality.lock().expect("batch quality lock");
-                        agg.jobs_scored += 1;
-                        agg.estimated += quality.estimated;
-                        agg.estimated_cycles += quality.estimated_cycles;
-                        match quality.measured {
-                            Some(measured) => {
-                                agg.measured += measured;
-                                agg.measured_cycles += quality.measured_cycles.unwrap_or(0.0);
-                            }
-                            None => agg.replay_failures += 1,
-                        }
+                        ));
                     }
                     let degraded = report.degraded_funcs();
                     let status = if degraded == 0 {
@@ -885,7 +1068,6 @@ fn run_batch_job(
         }
     };
 
-    let name = job.name;
     let service_us = start.elapsed().as_micros() as u64;
     let (end_kind, end_payload) = match &status {
         BatchStatus::Ok => (FlightKind::JobOk, 0),
@@ -894,189 +1076,54 @@ fn run_batch_job(
             cause: DegradeCause::Timeout,
         } => (FlightKind::Timeout, *funcs as u64),
         BatchStatus::Degraded { funcs, .. } => (FlightKind::JobDegraded, *funcs as u64),
-        BatchStatus::Failed { .. } => (FlightKind::JobFailed, 0),
-        // run_batch_job only runs jobs; expiry/cancellation resolve in
+        // A job that ran never expires or cancels; those resolve in
         // resolve_unrun.
-        BatchStatus::DeadlineExpired | BatchStatus::Cancelled => (FlightKind::JobFailed, 0),
+        _ => (FlightKind::JobFailed, 0),
     };
     flight.record(shard_workers as u32, end_kind, id, end_payload);
-    lane.end_span(service_span, SpanKind::Service, || {
+    let name = job.name;
+    clock.lane.end_span(service_span, SpanKind::Service, || {
         format!("req-{id} {name}")
     });
-    lane.instant(InstantKind::Reply, || "reply".to_string());
-    let e2e_us = collector.now_us();
-
-    let trace = if shared.trace_requests {
-        let mut timeline = timeline;
-        timeline.events.extend(lane.into_events());
-        Some(RequestTrace {
-            id,
-            name: name.clone(),
-            queue_us,
-            service_us,
-            e2e_us,
-            timeline,
-        })
-    } else {
-        None
-    };
-    BatchResult {
+    let trace = clock.finish(id, &name, timeline, service_us, None);
+    let result = BatchResult {
         id,
         name,
         status,
         allocation,
         micros: service_us,
-        trace,
-    }
+        trace: Some(trace),
+    };
+    (result, quality)
 }
 
 /// Resolves a submission that never ran (deadline expiry or
-/// cancellation): no allocation, zero service time, but the backdated
-/// queue-wait span and the reply instant are still recorded so the
-/// request's trace tells the whole story.
+/// cancellation): no allocation and zero service time, but a flight event
+/// and a trace with the queue wait and the reply, so the request's trace
+/// tells the whole story.
 fn resolve_unrun(
     id: u64,
     job: BatchJob,
     status: BatchStatus,
     shared: &Shared,
+    flight: FlightView<'_>,
     queued_at: Instant,
 ) -> BatchResult {
-    let service_tid = shared.shard_workers as u32 + 1;
-    let collector = if shared.trace_requests {
-        TimelineCollector::enabled_since(queued_at)
+    let clock = RequestClock::pick_up(queued_at, shared.shard_workers);
+    let kind = if status == BatchStatus::Cancelled {
+        FlightKind::Cancelled
     } else {
-        TimelineCollector::disabled()
+        FlightKind::DeadlineExpired
     };
-    let mut lane = collector.lane(service_tid);
-    let queue_us = collector.now_us();
-    let label = status.label();
-    lane.backdated_span(
-        SpanKind::Queue,
-        queue_us,
-        || "queue wait".to_string(),
-        || Some(label.to_string()),
-    );
-    lane.instant(InstantKind::Reply, || format!("reply ({label})"));
-    let e2e_us = collector.now_us();
-    let trace = if shared.trace_requests {
-        let mut timeline = Timeline::empty();
-        timeline.events.extend(lane.into_events());
-        Some(RequestTrace {
-            id,
-            name: job.name.clone(),
-            queue_us,
-            service_us: 0,
-            e2e_us,
-            timeline,
-        })
-    } else {
-        None
-    };
+    flight.record(shared.shard_workers as u32, kind, id, clock.queue_us);
+    let trace = clock.finish(id, &job.name, Timeline::empty(), 0, Some(status.label()));
     BatchResult {
         id,
         name: job.name,
         status,
         allocation: None,
         micros: 0,
-        trace,
-    }
-}
-
-impl Shared {
-    fn note_completion(&self, queued_at: Instant, priority: Priority, result: &BatchResult) {
-        let e2e = queued_at.elapsed().as_micros() as u64;
-        match &result.status {
-            BatchStatus::DeadlineExpired => {
-                self.metrics
-                    .lock()
-                    .expect("batch metrics lock")
-                    .inc(METRIC_EXPIRED);
-                // A deadline miss is congestion evidence: back the
-                // admission window off just like an over-SLO completion.
-                if let Some(adm) = &self.admission {
-                    adm.on_miss();
-                }
-                return;
-            }
-            BatchStatus::Cancelled => {
-                self.metrics
-                    .lock()
-                    .expect("batch metrics lock")
-                    .inc(METRIC_CANCELLED);
-                // Cancellation says nothing about load: free the slot,
-                // leave the window alone.
-                if let Some(adm) = &self.admission {
-                    adm.release();
-                }
-                return;
-            }
-            _ => {}
-        }
-        let mut m = self.metrics.lock().expect("batch metrics lock");
-        m.observe(METRIC_QUEUE_WAIT, e2e.saturating_sub(result.micros));
-        m.observe(METRIC_JOB_MICROS, result.micros);
-        m.observe(METRIC_E2E, e2e);
-        match &result.status {
-            BatchStatus::Ok => {
-                m.inc(METRIC_COMPLETED);
-                m.observe(priority.e2e_metric(), e2e);
-            }
-            BatchStatus::Degraded { cause, .. } => {
-                m.inc(METRIC_DEGRADED);
-                if *cause == DegradeCause::Timeout {
-                    m.inc(METRIC_TIMEOUTS);
-                }
-                m.observe(priority.e2e_metric(), e2e);
-            }
-            BatchStatus::Failed { .. } => m.inc(METRIC_FAILED),
-            BatchStatus::DeadlineExpired | BatchStatus::Cancelled => {
-                unreachable!("handled above")
-            }
-        }
-        drop(m);
-        if let Some(adm) = &self.admission {
-            adm.on_complete(e2e);
-        }
-    }
-
-    /// Retains a completed request's trace in the bounded recent-trace
-    /// buffer and, when the job ended [`BatchStatus::Degraded`] or
-    /// [`BatchStatus::Failed`], snapshots the flight recorder into the
-    /// dump ring. Expiries and cancellations keep their traces but do not
-    /// dump: under overload they are policy, not anomaly.
-    fn note_observability(&self, result: &BatchResult) {
-        if let Some(trace) = &result.trace {
-            let mut traces = self.traces.lock().expect("batch traces lock");
-            while traces.len() >= self.trace_capacity.max(1) {
-                traces.pop_front();
-            }
-            traces.push_back(trace.clone());
-        }
-        if matches!(
-            result.status,
-            BatchStatus::Degraded { .. } | BatchStatus::Failed { .. }
-        ) {
-            let dump = self.flight.dump();
-            let mut dumps = self.dumps.lock().expect("batch dumps lock");
-            while dumps.len() >= FLIGHT_DUMP_KEEP {
-                dumps.pop_front();
-            }
-            dumps.push_back((result.id, dump));
-        }
-    }
-
-    /// Stores a result and marks its id resolved — the single exit point
-    /// of the per-id state machine.
-    fn store_result(&self, result: BatchResult) {
-        let id = result.id;
-        self.results
-            .lock()
-            .expect("batch results lock")
-            .push(result);
-        self.phases
-            .lock()
-            .expect("batch phases lock")
-            .insert(id, JobPhase::Resolved);
+        trace: Some(trace),
     }
 }
 
@@ -1100,7 +1147,7 @@ impl BatchHandle {
 
     /// Jobs a worker is running right now.
     pub fn in_flight(&self) -> u64 {
-        self.shared.in_flight.load(Ordering::Relaxed)
+        self.shared.ledger().running
     }
 
     /// The submission queue's traffic counters.
@@ -1111,17 +1158,16 @@ impl BatchHandle {
     /// Requests cancellation of submission `id` (see [`CancelOutcome`]):
     /// still queued → resolves [`BatchStatus::Cancelled`] without
     /// running; in flight → runs to completion; already resolved or never
-    /// accepted → no-op. Race-free: the per-id phase table serializes
-    /// this against the worker's pick-up.
+    /// accepted → no-op. Race-free: the ledger lock serializes this
+    /// against the worker's pick-up.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
-        let mut phases = self.shared.phases.lock().expect("batch phases lock");
-        match phases.get_mut(&id) {
-            Some(JobPhase::Queued { cancelled }) => {
+        match self.shared.ledger().entries.get_mut(&id) {
+            Some(Entry::Queued { cancelled }) => {
                 *cancelled = true;
                 CancelOutcome::Cancelled
             }
-            Some(JobPhase::Running) => CancelOutcome::InFlight,
-            Some(JobPhase::Resolved) => CancelOutcome::Done,
+            Some(Entry::Running) => CancelOutcome::InFlight,
+            Some(Entry::Done(_)) => CancelOutcome::Done,
             None => CancelOutcome::Unknown,
         }
     }
@@ -1135,27 +1181,18 @@ impl BatchHandle {
     /// Per-job statuses of every completed job so far, sorted by
     /// submission id.
     pub fn statuses(&self) -> Vec<(u64, String, BatchStatus)> {
-        let results = self.shared.results.lock().expect("batch results lock");
-        let mut out: Vec<(u64, String, BatchStatus)> = results
-            .iter()
+        self.shared
+            .ledger()
+            .results_by_id()
+            .into_iter()
             .map(|r| (r.id, r.name.clone(), r.status.clone()))
-            .collect();
-        out.sort_by_key(|(id, _, _)| *id);
-        out
+            .collect()
     }
 
     /// Total functions that degraded across completed jobs.
     pub fn degraded_funcs(&self) -> usize {
-        self.shared
-            .results
-            .lock()
-            .expect("batch results lock")
-            .iter()
-            .map(|r| match r.status {
-                BatchStatus::Degraded { funcs, .. } => funcs,
-                _ => 0,
-            })
-            .sum()
+        let ledger = self.shared.ledger();
+        ledger.results.iter().map(|r| degraded_of(&r.status)).sum()
     }
 
     /// The service metrics plus scrape-time gauges (queue depth and
@@ -1200,21 +1237,14 @@ impl BatchHandle {
     }
 
     /// The [`RequestTrace`] of submission `id`, if the service still holds
-    /// it — first from the bounded recent-trace buffer, then from the
-    /// stored results.
+    /// it: any completed job's while the service runs, and after shutdown
+    /// those of the last 32 jobs to complete.
     pub fn trace(&self, id: u64) -> Option<RequestTrace> {
-        let traces = self.shared.traces.lock().expect("batch traces lock");
-        if let Some(t) = traces.iter().find(|t| t.id == id) {
-            return Some(t.clone());
+        let ledger = self.shared.ledger();
+        match ledger.result(id) {
+            Some(r) => r.trace.clone(),
+            None => ledger.kept_traces.get(&id).cloned(),
         }
-        drop(traces);
-        self.shared
-            .results
-            .lock()
-            .expect("batch results lock")
-            .iter()
-            .find(|r| r.id == id)
-            .and_then(|r| r.trace.clone())
     }
 
     /// The trace of submission `id` rendered as Chrome-trace JSON
@@ -1227,8 +1257,10 @@ impl BatchHandle {
     /// recorder dump plus the retained automatic dumps (most recent last),
     /// each tagged with the submission id that triggered it.
     pub fn flightrec_value(&self) -> Value {
-        let dumps = self.shared.dumps.lock().expect("batch dumps lock");
-        let retained = dumps
+        let retained = self
+            .shared
+            .ledger()
+            .dumps
             .iter()
             .map(|(id, dump)| {
                 Value::Obj(vec![
@@ -1237,7 +1269,6 @@ impl BatchHandle {
                 ])
             })
             .collect();
-        drop(dumps);
         Value::Obj(vec![
             ("live".to_string(), self.shared.flight.dump()),
             ("dumps".to_string(), Value::Arr(retained)),
@@ -1289,186 +1320,144 @@ impl BatchHandle {
     ///            "hit_rate": 0.99, "insertions": 10, "evictions": 0}}
     /// ```
     pub fn status_value(&self) -> Value {
-        let statuses = self.statuses();
-        let results = self.shared.results.lock().expect("batch results lock");
-        let micros_of = |id: u64| {
-            results
-                .iter()
-                .find(|r| r.id == id)
-                .map_or(0, |r| r.micros as i64)
-        };
-        let jobs = statuses
+        // One ledger snapshot: the jobs, their counts and the metrics
+        // cannot disagree however many jobs complete meanwhile.
+        let ledger = self.shared.ledger();
+        let done = ledger.results_by_id();
+        let degraded_funcs: usize = done.iter().map(|r| degraded_of(&r.status)).sum();
+        let jobs = done
             .iter()
-            .map(|(id, name, status)| {
+            .map(|r| {
                 let mut fields = vec![
-                    ("id".to_string(), Value::Int(*id as i64)),
-                    ("name".to_string(), Value::Str(name.clone())),
-                    ("status".to_string(), Value::Str(status.label().to_string())),
-                    (
-                        "degraded_funcs".to_string(),
-                        Value::Int(match status {
-                            BatchStatus::Degraded { funcs, .. } => *funcs as i64,
-                            _ => 0,
-                        }),
-                    ),
-                    ("micros".to_string(), Value::Int(micros_of(*id))),
+                    ("id", int(r.id)),
+                    ("name", Value::Str(r.name.clone())),
+                    ("status", Value::Str(r.status.label().to_string())),
+                    ("degraded_funcs", int(degraded_of(&r.status) as u64)),
+                    ("micros", int(r.micros)),
                 ];
-                if let BatchStatus::Degraded { cause, .. } = status {
-                    fields.push((
-                        "degrade_cause".to_string(),
-                        Value::Str(cause.label().to_string()),
-                    ));
+                match &r.status {
+                    BatchStatus::Degraded { cause, .. } => {
+                        fields.push(("degrade_cause", Value::Str(cause.label().to_string())));
+                    }
+                    BatchStatus::Failed { error } => {
+                        fields.push(("error", Value::Str(error.clone())));
+                    }
+                    _ => {}
                 }
-                if let BatchStatus::Failed { error } = status {
-                    fields.push(("error".to_string(), Value::Str(error.clone())));
-                }
-                Value::Obj(fields)
+                obj(fields)
             })
             .collect();
-        drop(results);
-        let m = self.shared.metrics.lock().expect("batch metrics lock");
+        let m = &ledger.metrics;
+        let empty = Histogram::new();
         let latency_of = |name: &str| {
-            let (p50, p95, p99, mean, count) = m.histogram(name).map_or((0, 0, 0, 0.0, 0), |h| {
-                (
-                    h.quantile(0.5),
-                    h.quantile(0.95),
-                    h.quantile(0.99),
-                    h.mean(),
-                    h.count(),
-                )
-            });
-            Value::Obj(vec![
-                ("p50".to_string(), Value::Int(p50 as i64)),
-                ("p95".to_string(), Value::Int(p95 as i64)),
-                ("p99".to_string(), Value::Int(p99 as i64)),
-                ("mean_us".to_string(), Value::Float(mean)),
-                ("count".to_string(), Value::Int(count as i64)),
+            let h = m.histogram(name).unwrap_or(&empty);
+            obj(vec![
+                ("p50", int(h.quantile(0.5))),
+                ("p95", int(h.quantile(0.95))),
+                ("p99", int(h.quantile(0.99))),
+                ("mean_us", Value::Float(h.mean())),
+                ("count", int(h.count())),
             ])
         };
-        let latency = Value::Obj(vec![
-            ("queue_wait".to_string(), latency_of(METRIC_QUEUE_WAIT)),
-            ("service".to_string(), latency_of(METRIC_JOB_MICROS)),
-            ("e2e".to_string(), latency_of(METRIC_E2E)),
+        let latency = obj(vec![
+            ("queue_wait", latency_of(METRIC_QUEUE_WAIT)),
+            ("service", latency_of(METRIC_JOB_MICROS)),
+            ("e2e", latency_of(METRIC_E2E)),
         ]);
-        let per_priority = per_priority_latency(&m);
-        let mut admission = vec![(
-            "enabled".to_string(),
-            Value::Bool(self.shared.admission.is_some()),
-        )];
+        let mut admission = vec![("enabled", Value::Bool(self.shared.admission.is_some()))];
         if let Some(adm) = &self.shared.admission {
             let snap = adm.snapshot();
-            admission.push(("limit".to_string(), Value::Float(snap.limit)));
-            admission.push(("admitted".to_string(), Value::Int(snap.admitted as i64)));
-            admission.push(("slo_us".to_string(), Value::Int(adm.config().slo_us as i64)));
+            admission.extend([
+                ("limit", Value::Float(snap.limit)),
+                ("admitted", int(snap.admitted as u64)),
+                ("slo_us", int(adm.config().slo_us)),
+            ]);
         }
-        admission.push((
-            "shed".to_string(),
-            Value::Int(m.counter(METRIC_SHED) as i64),
-        ));
-        admission.push((
-            "expired".to_string(),
-            Value::Int(m.counter(METRIC_EXPIRED) as i64),
-        ));
-        admission.push((
-            "cancelled".to_string(),
-            Value::Int(m.counter(METRIC_CANCELLED) as i64),
-        ));
-        admission.push((
-            "timeouts".to_string(),
-            Value::Int(m.counter(METRIC_TIMEOUTS) as i64),
-        ));
-        admission.push(("per_priority".to_string(), per_priority));
-        drop(m);
-        let mut quality = vec![(
-            "enabled".to_string(),
-            Value::Bool(self.shared.score_quality),
-        )];
+        admission.extend([
+            ("shed", int(m.counter(METRIC_SHED))),
+            ("expired", int(m.counter(METRIC_EXPIRED))),
+            ("cancelled", int(m.counter(METRIC_CANCELLED))),
+            ("timeouts", int(m.counter(METRIC_TIMEOUTS))),
+            ("per_priority", per_priority_latency(m)),
+        ]);
+        let mut quality = vec![("enabled", Value::Bool(self.shared.score_quality))];
         if self.shared.score_quality {
-            let agg = self.shared.quality.lock().expect("batch quality lock");
-            quality.push((
-                "jobs_scored".to_string(),
-                Value::Int(agg.jobs_scored as i64),
-            ));
-            quality.push((
-                "replay_failures".to_string(),
-                Value::Int(agg.replay_failures as i64),
-            ));
-            quality.push((
-                "estimated_ops".to_string(),
-                Value::Float(agg.estimated.total()),
-            ));
-            quality.push((
-                "measured_ops".to_string(),
-                Value::Float(agg.measured.total()),
-            ));
-            quality.push((
-                "estimated_cycles".to_string(),
-                Value::Float(agg.estimated_cycles),
-            ));
-            quality.push((
-                "measured_cycles".to_string(),
-                Value::Float(agg.measured_cycles),
-            ));
-            let drift = if agg.measured.total() > 0.0 {
-                100.0 * (agg.estimated.total() - agg.measured.total()) / agg.measured.total()
+            let agg = &ledger.quality;
+            let (estimated, measured) = (agg.estimated.total(), agg.measured.total());
+            let drift = if measured > 0.0 {
+                100.0 * (estimated - measured) / measured
             } else {
                 0.0
             };
-            quality.push(("drift_pct".to_string(), Value::Float(drift)));
+            quality.extend([
+                ("jobs_scored", int(agg.jobs_scored)),
+                ("replay_failures", int(agg.replay_failures)),
+                ("estimated_ops", Value::Float(estimated)),
+                ("measured_ops", Value::Float(measured)),
+                ("estimated_cycles", Value::Float(agg.estimated_cycles)),
+                ("measured_cycles", Value::Float(agg.measured_cycles)),
+                ("drift_pct", Value::Float(drift)),
+            ]);
         }
-        let mut cache = vec![(
-            "enabled".to_string(),
-            Value::Bool(self.shared.cache.is_some()),
-        )];
+        let counts = [
+            ("in_flight", int(ledger.running)),
+            ("completed", int(done.len() as u64)),
+            ("degraded_funcs", int(degraded_funcs as u64)),
+        ];
+        drop(ledger);
+        let mut cache = vec![("enabled", Value::Bool(self.shared.cache.is_some()))];
         if let Some(c) = &self.shared.cache {
             let stats = c.stats();
-            cache.push(("entries".to_string(), Value::Int(stats.entries as i64)));
-            cache.push(("bytes".to_string(), Value::Int(stats.bytes as i64)));
-            cache.push((
-                "budget_bytes".to_string(),
-                Value::Int(stats.byte_budget as i64),
-            ));
-            cache.push(("hits".to_string(), Value::Int(stats.hits as i64)));
-            cache.push(("misses".to_string(), Value::Int(stats.misses as i64)));
-            cache.push(("hit_rate".to_string(), Value::Float(stats.hit_rate())));
-            cache.push((
-                "insertions".to_string(),
-                Value::Int(stats.insertions as i64),
-            ));
-            cache.push(("evictions".to_string(), Value::Int(stats.evictions as i64)));
+            cache.extend([
+                ("entries", int(stats.entries)),
+                ("bytes", int(stats.bytes)),
+                ("budget_bytes", int(stats.byte_budget)),
+                ("hits", int(stats.hits)),
+                ("misses", int(stats.misses)),
+                ("hit_rate", Value::Float(stats.hit_rate())),
+                ("insertions", int(stats.insertions)),
+                ("evictions", int(stats.evictions)),
+            ]);
         }
-        Value::Obj(vec![
-            ("uptime_us".to_string(), Value::Int(self.uptime_us() as i64)),
+        let mut doc = vec![
+            ("uptime_us", int(self.uptime_us())),
             (
-                "build".to_string(),
-                Value::Obj(vec![
+                "build",
+                obj(vec![
                     (
-                        "crate_version".to_string(),
+                        "crate_version",
                         Value::Str(env!("CARGO_PKG_VERSION").to_string()),
                     ),
-                    (
-                        "status_schema".to_string(),
-                        Value::Int(STATUS_SCHEMA_VERSION as i64),
-                    ),
+                    ("status_schema", int(u64::from(STATUS_SCHEMA_VERSION))),
                 ]),
             ),
-            (
-                "queue_depth".to_string(),
-                Value::Int(self.queue_depth() as i64),
-            ),
-            ("in_flight".to_string(), Value::Int(self.in_flight() as i64)),
-            ("completed".to_string(), Value::Int(statuses.len() as i64)),
-            (
-                "degraded_funcs".to_string(),
-                Value::Int(self.degraded_funcs() as i64),
-            ),
-            ("latency".to_string(), latency),
-            ("admission".to_string(), Value::Obj(admission)),
-            ("quality".to_string(), Value::Obj(quality)),
-            ("cache".to_string(), Value::Obj(cache)),
-            ("jobs".to_string(), Value::Arr(jobs)),
-        ])
+            ("queue_depth", int(self.queue_depth() as u64)),
+        ];
+        doc.extend(counts);
+        doc.extend([
+            ("latency", latency),
+            ("admission", obj(admission)),
+            ("quality", obj(quality)),
+            ("cache", obj(cache)),
+            ("jobs", Value::Arr(jobs)),
+        ]);
+        obj(doc)
     }
+}
+
+/// A JSON object from borrowed keys.
+fn obj(fields: Vec<(&str, Value)>) -> Value {
+    Value::Obj(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// A JSON integer from a count.
+fn int(n: u64) -> Value {
+    Value::Int(n as i64)
 }
 
 impl BatchService {
@@ -1492,23 +1481,15 @@ impl BatchService {
         let flight_lanes = base_lanes + usize::from(obsv.is_some());
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
-            results: Mutex::new(Vec::new()),
-            metrics: Mutex::new(MetricsRegistry::new()),
-            phases: Mutex::new(HashMap::new()),
+            ledger: Mutex::new(Ledger::default()),
             admission: config.admission.map(AdmissionController::new),
-            in_flight: AtomicU64::new(0),
             cost,
             shard_workers,
-            trace_requests: config.trace_requests,
-            trace_capacity: config.trace_capacity.max(1),
             job_timeout: config.job_timeout,
             chaos: config.chaos,
             score_quality: config.score_quality,
             cache: config.cache,
-            quality: Mutex::new(QualityAgg::default()),
-            traces: Mutex::new(VecDeque::new()),
             flight: FlightRecorder::new(flight_lanes),
-            dumps: Mutex::new(VecDeque::new()),
             obsv,
             obsv_lane: (flight_lanes - 1) as u32,
             started: Instant::now(),
@@ -1528,42 +1509,14 @@ impl BatchService {
                         } = queued;
                         let priority = job.priority;
                         let flight = shared.flight.view(lane_base);
-                        // The pick-up transition of the state machine:
-                        // cancelled or expired jobs resolve without
-                        // running; everything else goes Running.
-                        let mut phases = shared.phases.lock().expect("batch phases lock");
-                        let cancelled =
-                            matches!(phases.get(&id), Some(JobPhase::Queued { cancelled: true }));
-                        let expired =
-                            !cancelled && deadline_at.is_some_and(|at| Instant::now() >= at);
-                        if cancelled || expired {
-                            drop(phases);
-                            let status = if cancelled {
-                                BatchStatus::Cancelled
-                            } else {
-                                BatchStatus::DeadlineExpired
-                            };
-                            let kind = if cancelled {
-                                FlightKind::Cancelled
-                            } else {
-                                FlightKind::DeadlineExpired
-                            };
-                            let queued_us = queued_at.elapsed().as_micros() as u64;
-                            flight.record(shared.shard_workers as u32, kind, id, queued_us);
-                            let result = resolve_unrun(id, job, status, &shared, queued_at);
-                            shared.note_completion(queued_at, priority, &result);
-                            shared.note_observability(&result);
-                            shared.store_result(result);
-                            continue;
-                        }
-                        phases.insert(id, JobPhase::Running);
-                        drop(phases);
-                        shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                        let result = run_batch_job(id, job, &shared, flight, queued_at);
-                        shared.note_completion(queued_at, priority, &result);
-                        shared.note_observability(&result);
-                        shared.store_result(result);
-                        shared.in_flight.fetch_sub(1, Ordering::Relaxed);
+                        let (result, quality) = match shared.pick_up(id, deadline_at) {
+                            Some(status) => (
+                                resolve_unrun(id, job, status, &shared, flight, queued_at),
+                                None,
+                            ),
+                            None => run_batch_job(id, job, &shared, flight, queued_at),
+                        };
+                        shared.resolve(queued_at, priority, result, quality);
                     }
                 })
             })
@@ -1609,18 +1562,14 @@ impl BatchService {
         }
     }
 
-    /// Admission + phase registration preamble shared by both submit
+    /// Admission + ledger registration preamble shared by both submit
     /// paths: sheds when the limiter's window is full, otherwise marks
     /// the id `Queued` *before* the queue push so a worker can never pop
-    /// a job whose phase is unknown.
+    /// a job the ledger does not know.
     fn admit(&self, id: u64, job: BatchJob) -> Result<QueuedJob, SubmitError> {
         if let Some(adm) = &self.shared.admission {
             if let Err(retry_after_us) = adm.try_admit() {
-                self.shared
-                    .metrics
-                    .lock()
-                    .expect("batch metrics lock")
-                    .inc(METRIC_SHED);
+                self.shared.ledger().metrics.inc(METRIC_SHED);
                 self.shared
                     .flight
                     .record(0, FlightKind::Shed, id, retry_after_us);
@@ -1631,22 +1580,17 @@ impl BatchService {
             }
         }
         self.shared
-            .phases
-            .lock()
-            .expect("batch phases lock")
-            .insert(id, JobPhase::Queued { cancelled: false });
+            .ledger()
+            .entries
+            .insert(id, Entry::Queued { cancelled: false });
         Ok(QueuedJob::new(id, job))
     }
 
     /// Rolls back [`BatchService::admit`] when the queue turns out to be
-    /// closed (or, for `try_submit`, full): the id leaves the phase table
-    /// and the admission slot is freed.
+    /// closed (or, for `try_submit`, full): the id leaves the ledger and
+    /// the admission slot is freed.
     fn unadmit(&self, id: u64) {
-        self.shared
-            .phases
-            .lock()
-            .expect("batch phases lock")
-            .remove(&id);
+        self.shared.ledger().entries.remove(&id);
         if let Some(adm) = &self.shared.admission {
             adm.release();
         }
@@ -1680,11 +1624,7 @@ impl BatchService {
                 });
             }
             Err(PushError::Full(q)) => {
-                self.shared
-                    .metrics
-                    .lock()
-                    .expect("batch metrics lock")
-                    .inc(METRIC_STALLS);
+                self.shared.ledger().metrics.inc(METRIC_STALLS);
                 self.shared
                     .flight
                     .record(0, FlightKind::BackpressureEngage, id, 0);
@@ -1744,11 +1684,7 @@ impl BatchService {
 
     fn note_submit(&self, id: u64) {
         self.shared.flight.record(0, FlightKind::Submit, id, 0);
-        self.shared
-            .metrics
-            .lock()
-            .expect("batch metrics lock")
-            .inc(METRIC_SUBMITTED);
+        self.shared.ledger().metrics.inc(METRIC_SUBMITTED);
     }
 
     /// Jobs queued but not yet picked up.
@@ -1758,7 +1694,8 @@ impl BatchService {
 
     /// Closes the queue, drains the remaining jobs (expired and cancelled
     /// ones resolve without running), joins the workers, and returns
-    /// every result sorted by submission id.
+    /// every result sorted by submission id. The handle keeps serving the
+    /// traces of the last 32 jobs to complete.
     pub fn shutdown(self) -> Vec<BatchResult> {
         self.shared.queue.close();
         for handle in self.workers {
@@ -1768,8 +1705,15 @@ impl BatchService {
         if let Some(sampler) = self.sampler {
             sampler.join().expect("observatory sampler does not panic");
         }
-        let mut results =
-            std::mem::take(&mut *self.shared.results.lock().expect("batch results lock"));
+        let mut ledger = self.shared.ledger();
+        let mut results = std::mem::take(&mut ledger.results);
+        ledger.kept_traces = results
+            .iter()
+            .rev()
+            .take(TRACE_KEEP)
+            .filter_map(|r| Some((r.id, r.trace.clone()?)))
+            .collect();
+        drop(ledger);
         results.sort_by_key(|r| r.id);
         results
     }

@@ -356,13 +356,6 @@ impl FlightView<'_> {
             base: self.base + offset,
         }
     }
-
-    /// The whole recorder's dump ([`FlightRecorder::dump_json`]) — a view
-    /// can trigger a dump but cannot narrow it: the point of a flight
-    /// record is the surrounding context, not just the failing lane.
-    pub fn dump_json(&self) -> String {
-        self.rec.dump_json()
-    }
 }
 
 #[cfg(test)]

@@ -18,27 +18,26 @@
 //!   sink and merges registries in id order, so the merged event stream
 //!   (wall-clock normalized) and every merged counter equal the serial
 //!   run's;
-//! * scheduling facts (which worker ran what, steal counts, scheduler
-//!   metrics, the timeline) never touch the allocation result or the
-//!   program registry — they live in [`DriverReport`] and the returned
-//!   [`Timeline`] only.
+//! * scheduling facts (which worker ran what, steal counts, the timeline,
+//!   the flight record) never touch the allocation result or the program
+//!   registry — they live in [`DriverReport`], the returned [`Timeline`]
+//!   and the caller's flight recorder only.
 //!
 //! # Observation
 //!
 //! [`ParallelDriver::allocate_program_cached`] is the driver's only entry
 //! point; every instrument it takes can be switched off. Under an enabled
 //! [`TimelineCollector`] each worker records job/steal/idle spans on a
-//! private lane (see [`crate::driver::timeline`]), each job's
+//! private lane (see [`crate::driver::timeline`]), and each job's
 //! [`PhaseSpan`] events are mirrored as nested phase spans on the worker's
-//! lane, and the drained scheduler-metric shards merge into
-//! [`DriverReport::scheduler`]. A disabled collector costs one branch per
-//! event site.
+//! lane. A disabled collector costs one branch per event site.
 //!
-//! The [`FlightView`] records job start/end, steal, and degrade events in
-//! the always-on flight recorder, and a batch in which any job degraded
-//! snapshots the recorder into [`DriverReport::flight_dump`] as JSON. Like
-//! the timeline, flight data is scheduling quarantine — it never touches
-//! allocation results.
+//! The [`FlightView`] records job start/end, steal, degrade and cache
+//! events in the always-on flight recorder; a caller that wants the record
+//! of a degraded run dumps its recorder
+//! ([`crate::driver::FlightRecorder::dump_json`]), as the batch service
+//! does. Like the timeline, flight data is scheduling quarantine — it
+//! never touches allocation results.
 //!
 //! # Failure isolation
 //!
@@ -194,19 +193,6 @@ pub struct DriverReport {
     pub steals: u64,
     /// Per-function outcome, indexed by function id.
     pub statuses: Vec<JobStatus>,
-    /// Scheduler metrics (the `driver_*` names of [`crate::driver::pool`]),
-    /// merged across worker shards, plus the run's `cache_*` traffic
-    /// counters when a memo cache was consulted. Empty unless the batch
-    /// ran traced or cached. Scheduling-dependent, like everything else
-    /// here except `statuses` and the cache counters (hits and misses are
-    /// a pure function of cache state and program content) — keep it out
-    /// of merged program metrics.
-    pub scheduler: MetricsRegistry,
-    /// A JSON flight-record dump, captured automatically when any job
-    /// degraded (or panicked) and the batch ran with an enabled
-    /// [`crate::driver::FlightRecorder`]. Scheduling-dependent quarantine,
-    /// like the rest of the report.
-    pub flight_dump: Option<String>,
 }
 
 impl DriverReport {
@@ -345,17 +331,14 @@ impl ParallelDriver {
     /// degraded results are never cached. Cache lookups happen on the
     /// calling thread, so their flight events ([`FlightKind::CacheHit`],
     /// [`FlightKind::CacheMiss`], [`FlightKind::CacheEvict`]) land on view
-    /// lane 0. Per-run hit/miss/eviction counts drain into the
-    /// [`DriverReport::scheduler`] quarantine (never the allocation
-    /// metrics), and `alloc_functions_total` counts only functions
-    /// actually allocated.
+    /// lane 0. The cache's own [`AllocCache::stats`] count hits, misses
+    /// and evictions (never the allocation metrics), and
+    /// `alloc_functions_total` counts only functions actually allocated.
     ///
     /// Worker lanes are `0..workers`; the driver thread's merge span lands
     /// on lane `workers`. With a disabled collector the timeline comes
-    /// back empty and [`DriverReport::scheduler`] stays empty. Flight
-    /// lanes mirror timeline lanes (worker `w` records on view lane `w`);
-    /// when any job degrades under an enabled recorder, the run's flight
-    /// record is dumped into [`DriverReport::flight_dump`] automatically.
+    /// back empty. Flight lanes mirror timeline lanes (worker `w` records
+    /// on view lane `w`).
     ///
     /// # Errors
     ///
@@ -385,8 +368,6 @@ impl ParallelDriver {
         // pool.
         let mut replayed: Vec<Option<(Function, FuncAllocation)>>;
         let mut miss_keys: Vec<Option<CacheKey>>;
-        let mut run_hits = 0u64;
-        let mut run_evictions = 0u64;
         let miss_ids: Vec<ccra_ir::FuncId>;
         if let Some(cache) = cache {
             let cfg_fp = config_fingerprint(req.config, req.cost);
@@ -405,7 +386,6 @@ impl ParallelDriver {
                 match cache.get(&key) {
                     Some(entry) => {
                         flight.record(0, FlightKind::CacheHit, u64::from(id.0), 0);
-                        run_hits += 1;
                         replayed.push(Some(entry));
                         miss_keys.push(None);
                     }
@@ -462,19 +442,8 @@ impl ParallelDriver {
             },
         );
 
-        // The scheduling facts drain into the report's quarantine. A
-        // cached run always gets a live registry: its cache_* counters
-        // must be reportable even untraced.
-        let mut scheduler = if collector.is_enabled() || cache.is_some() {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        };
         let mut lanes: Vec<Vec<_>> = Vec::with_capacity(scratches.len() + 1);
-        for scratch in scratches {
-            scheduler.merge(&scratch.scheduler);
-            lanes.push(scratch.lane.into_events());
-        }
+        lanes.extend(scratches.into_iter().map(|s| s.lane.into_events()));
         let mut driver_lane = collector.lane(stats.workers as u32);
         let merge_span = driver_lane.start();
 
@@ -518,7 +487,6 @@ impl ParallelDriver {
                     let ins = cache.insert(key, &body, &alloc);
                     if ins.evicted > 0 {
                         flight.record(0, FlightKind::CacheEvict, u64::from(id.0), ins.evicted);
-                        run_evictions += ins.evicted;
                     }
                 }
                 (body, alloc, status)
@@ -526,21 +494,9 @@ impl ParallelDriver {
             funcs.push((body, alloc));
             statuses.push(status);
         }
-        if cache.is_some() {
-            // Per-run cache traffic: scheduling facts, quarantined with
-            // the rest of the scheduler registry.
-            scheduler.add("cache_hits_total", run_hits);
-            scheduler.add("cache_misses_total", miss_ids.len() as u64);
-            scheduler.add("cache_evictions_total", run_evictions);
-        }
         let alloc = finish_program(req, funcs, start, prog_timer, sink, metrics);
         driver_lane.end_span(merge_span, SpanKind::Merge, || "merge".to_string());
         lanes.push(driver_lane.into_events());
-        // Something degraded under an enabled recorder: snapshot the
-        // flight record now, while the batch's history is still in the
-        // rings.
-        let flight_dump = (flight.enabled() && statuses.iter().any(JobStatus::is_degraded))
-            .then(|| flight.dump_json());
         Ok((
             alloc,
             DriverReport {
@@ -548,8 +504,6 @@ impl ParallelDriver {
                 jobs_per_worker: stats.jobs_per_worker,
                 steals: stats.steals,
                 statuses,
-                scheduler,
-                flight_dump,
             },
             Timeline::merge(stats.workers, lanes),
         ))

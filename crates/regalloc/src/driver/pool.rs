@@ -27,11 +27,13 @@
 //! # Observation
 //!
 //! [`run_jobs_observed`] is the same scheduler with a telemetry tap: each
-//! worker owns a [`WorkerScratch`] — a timeline [`Lane`] plus a
-//! scheduler-side [`MetricsRegistry`] shard — written with zero
-//! cross-thread contention and merged by the caller after the pool joins.
-//! [`run_jobs`] delegates to it with a disabled collector, so the
-//! unobserved path stays one branch per event site. The pool never parks:
+//! worker owns a [`WorkerScratch`] holding its timeline [`Lane`], written
+//! with zero cross-thread contention and merged by the caller after the
+//! pool joins; job, steal and steal-miss events also land in the flight
+//! recorder. Those two records are the pool's only ones — the steal
+//! count itself comes back on [`PoolStats`]. [`run_jobs`] delegates with a
+//! disabled collector and recorder, so the unobserved path stays one
+//! branch per event site. The pool never parks:
 //! a worker that runs out of local work sweeps the other deques and exits
 //! when the sweep comes up empty, so "idle" spans measure work-search
 //! (steal-sweep and final-drain) time, not blocking.
@@ -43,21 +45,6 @@ use std::sync::Mutex;
 
 use super::flightrec::{FlightKind, FlightRecorder, FlightView};
 use super::timeline::{InstantKind, Lane, SpanKind, TimelineCollector};
-use crate::metrics::MetricsRegistry;
-
-/// Scheduler counter: jobs taken from another worker's deque.
-pub const METRIC_STEALS: &str = "driver_steals_total";
-/// Scheduler counter: steal sweeps that found every deque empty.
-pub const METRIC_STEAL_MISSES: &str = "driver_steal_misses_total";
-/// Scheduler counter: jobs executed.
-pub const METRIC_JOBS: &str = "driver_jobs_total";
-/// Scheduler gauge: highest own-deque depth any worker observed.
-pub const METRIC_QUEUE_HIGH_WATER: &str = "driver_queue_depth_high_water";
-/// Scheduler histogram: microseconds a job waited between batch start and
-/// being popped by a worker.
-pub const METRIC_JOB_WAIT: &str = "driver_job_wait_micros";
-/// Scheduler histogram: microseconds a job spent running.
-pub const METRIC_JOB_RUN: &str = "driver_job_run_micros";
 
 /// What one job produced.
 #[derive(Debug)]
@@ -94,23 +81,17 @@ pub struct PoolStats {
     pub steals: u64,
 }
 
-/// One worker's private telemetry buffers, handed to the job closure and
+/// One worker's private telemetry buffer, handed to the job closure and
 /// returned (in worker-id order) by [`run_jobs_observed`].
 ///
-/// Both halves follow the lane discipline: exactly one worker writes a
-/// scratch, so recording never contends, and everything gates on the
-/// collector's enabled flag, so the disabled path performs no timing, no
-/// formatting, and no allocation.
+/// It follows the lane discipline: exactly one worker writes a scratch,
+/// so recording never contends, and everything gates on the collector's
+/// enabled flag, so the disabled path performs no timing, no formatting,
+/// and no allocation.
 #[derive(Debug)]
 pub struct WorkerScratch {
     /// The worker's timeline lane.
     pub lane: Lane,
-    /// The worker's scheduler-metrics shard (counters/histograms named by
-    /// the `METRIC_*` constants in this module). Enabled iff the batch's
-    /// [`TimelineCollector`] is. Callers merge shards with
-    /// [`MetricsRegistry::merge`]; scheduler metrics are nondeterministic
-    /// scheduling facts and must stay out of merged program metrics.
-    pub scheduler: MetricsRegistry,
     /// A label the job closure may set while running; the pool names the
     /// job's timeline span with it (falling back to `"job <index>"`) and
     /// clears it between jobs.
@@ -121,11 +102,6 @@ impl WorkerScratch {
     fn new(collector: &TimelineCollector, tid: u32) -> Self {
         WorkerScratch {
             lane: collector.lane(tid),
-            scheduler: if collector.is_enabled() {
-                MetricsRegistry::new()
-            } else {
-                MetricsRegistry::disabled()
-            },
             job_label: None,
         }
     }
@@ -142,8 +118,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one job under `catch_unwind`, recording its span (named by
-/// whatever label the closure left in the scratch), its run-time histogram
-/// sample, and its start/end flight-recorder events.
+/// whatever label the closure left in the scratch) and its start/end
+/// flight-recorder events.
 fn run_one<T, R>(
     job: &(impl Fn(usize, &T, &mut WorkerScratch) -> R + Sync),
     index: usize,
@@ -155,13 +131,10 @@ fn run_one<T, R>(
     let tid = scratch.lane.tid();
     flight.record(tid, FlightKind::JobStart, index as u64, 0);
     let span = scratch.lane.start();
-    let timer = scratch.scheduler.timer();
     let outcome = match catch_unwind(AssertUnwindSafe(|| job(index, item, &mut *scratch))) {
         Ok(r) => JobOutcome::Completed(r),
         Err(payload) => JobOutcome::Panicked(panic_message(payload)),
     };
-    scratch.scheduler.observe_elapsed(METRIC_JOB_RUN, timer);
-    scratch.scheduler.inc(METRIC_JOBS);
     let label = scratch.job_label.take();
     let panicked = matches!(outcome, JobOutcome::Panicked(_));
     scratch.lane.end_span_detailed(
@@ -207,13 +180,11 @@ fn steal_sweep(
 }
 
 /// One worker's drain loop: pop own work, steal when dry, record the
-/// scheduling facts into the worker's scratch.
-#[allow(clippy::too_many_arguments)]
+/// scheduling facts on the worker's lane and in the flight recorder.
 fn drain_worker<T, R>(
     deques: &[Mutex<VecDeque<usize>>],
     w: usize,
     steals: &AtomicU64,
-    batch_start: std::time::Instant,
     items: &[T],
     job: &(impl Fn(usize, &T, &mut WorkerScratch) -> R + Sync),
     scratch: &mut WorkerScratch,
@@ -223,14 +194,9 @@ fn drain_worker<T, R>(
     let mut done = Vec::new();
     loop {
         let (own, depth) = pop_own(deques, w);
-        if scratch.lane.enabled() {
-            scratch
-                .lane
-                .counter(|| format!("queue depth w{w}"), depth as u64);
-            scratch
-                .scheduler
-                .gauge_max(METRIC_QUEUE_HIGH_WATER, depth as f64);
-        }
+        scratch
+            .lane
+            .counter(|| format!("queue depth w{w}"), depth as u64);
         let index = match own {
             Some(i) => i,
             None => {
@@ -243,7 +209,6 @@ fn drain_worker<T, R>(
                     .end_span(idle, SpanKind::Idle, || "find work".to_string());
                 match stolen {
                     Some((i, victim)) => {
-                        scratch.scheduler.inc(METRIC_STEALS);
                         flight.record(w as u32, FlightKind::Steal, i as u64, victim as u64);
                         scratch
                             .lane
@@ -251,7 +216,6 @@ fn drain_worker<T, R>(
                         i
                     }
                     None => {
-                        scratch.scheduler.inc(METRIC_STEAL_MISSES);
                         flight.record(w as u32, FlightKind::StealMiss, w as u64, 0);
                         scratch
                             .lane
@@ -261,11 +225,6 @@ fn drain_worker<T, R>(
                 }
             }
         };
-        if scratch.scheduler.enabled() {
-            scratch
-                .scheduler
-                .observe(METRIC_JOB_WAIT, batch_start.elapsed().as_micros() as u64);
-        }
         done.push((index, run_one(job, index, &items[index], scratch, flight)));
     }
     scratch
@@ -305,8 +264,8 @@ where
 /// the scratches come back in worker-id order for the caller to merge.
 ///
 /// The job closure receives its worker's scratch — to set
-/// [`WorkerScratch::job_label`], to record nested timeline spans on the
-/// worker's lane, or to add scheduler metrics. With a
+/// [`WorkerScratch::job_label`] or to record nested timeline spans on the
+/// worker's lane. With a
 /// [`TimelineCollector::disabled`] collector every recording site reduces
 /// to one branch, which is how [`run_jobs`] keeps the unobserved path
 /// inside the workers=1 overhead gate.
@@ -329,7 +288,6 @@ where
     F: Fn(usize, &T, &mut WorkerScratch) -> R + Sync,
 {
     let workers = workers.clamp(1, items.len().max(1));
-    let batch_start = std::time::Instant::now();
     if workers == 1 {
         let mut scratch = WorkerScratch::new(collector, 0);
         let worker_span = scratch.lane.start();
@@ -337,20 +295,10 @@ where
             .iter()
             .enumerate()
             .map(|(i, item)| {
-                if scratch.scheduler.enabled() {
-                    scratch
-                        .scheduler
-                        .observe(METRIC_JOB_WAIT, batch_start.elapsed().as_micros() as u64);
-                    scratch
-                        .scheduler
-                        .gauge_max(METRIC_QUEUE_HIGH_WATER, (items.len() - 1 - i) as f64);
-                }
-                if scratch.lane.enabled() {
-                    scratch.lane.counter(
-                        || "queue depth w0".to_string(),
-                        (items.len() - 1 - i) as u64,
-                    );
-                }
+                scratch.lane.counter(
+                    || "queue depth w0".to_string(),
+                    (items.len() - 1 - i) as u64,
+                );
                 run_one(&job, i, item, &mut scratch, flight)
             })
             .collect();
@@ -387,16 +335,7 @@ where
                 let job = &job;
                 let mut scratch = WorkerScratch::new(collector, w as u32);
                 scope.spawn(move || {
-                    let done = drain_worker(
-                        deques,
-                        w,
-                        steals,
-                        batch_start,
-                        items,
-                        job,
-                        &mut scratch,
-                        flight,
-                    );
+                    let done = drain_worker(deques, w, steals, items, job, &mut scratch, flight);
                     (done, scratch)
                 })
             })
@@ -520,7 +459,6 @@ mod tests {
         assert_eq!(scratches.len(), 4);
         for s in scratches {
             assert!(s.lane.is_empty());
-            assert!(s.scheduler.is_empty());
         }
         assert_eq!(flight.total_events(), 0);
     }
@@ -540,21 +478,8 @@ mod tests {
         assert!(flight.total_events() >= 48);
         assert_eq!(outcomes.len(), 24);
         assert_eq!(stats.workers, 4);
+        assert_eq!(stats.jobs_per_worker.iter().sum::<u64>(), 24);
         assert_eq!(scratches.len(), 4);
-
-        let mut scheduler = MetricsRegistry::new();
-        for s in &scratches {
-            scheduler.merge(&s.scheduler);
-        }
-        assert_eq!(scheduler.counter(METRIC_JOBS), 24);
-        assert_eq!(
-            scheduler.histogram(METRIC_JOB_RUN).map(|h| h.count()),
-            Some(24)
-        );
-        assert_eq!(
-            scheduler.histogram(METRIC_JOB_WAIT).map(|h| h.count()),
-            Some(24)
-        );
 
         let timeline = Timeline::merge(
             4,
@@ -598,10 +523,9 @@ mod tests {
         // The inline path records the same start/ok pairs as the pool.
         assert_eq!(flight.total_events(), 10);
         assert_eq!(stats.workers, 1);
+        assert_eq!(stats.jobs_per_worker, vec![5]);
+        assert_eq!(stats.steals, 0);
         assert_eq!(scratches.len(), 1);
-        let scheduler = &scratches[0].scheduler;
-        assert_eq!(scheduler.counter(METRIC_JOBS), 5);
-        assert_eq!(scheduler.counter(METRIC_STEALS), 0);
         let timeline = Timeline::merge(
             1,
             scratches
@@ -626,30 +550,24 @@ mod tests {
                 let spins = if x % 8 == 0 { 50_000 } else { 50 };
                 (0..spins).fold(x, |a, v| a.wrapping_mul(31).wrapping_add(v))
             });
-        let mut scheduler = MetricsRegistry::new();
-        let mut lanes = Vec::new();
-        for s in scratches {
-            scheduler.merge(&s.scheduler);
-            lanes.push(s.lane.into_events());
-        }
-        // Scheduler metrics agree with the pool's own steal count.
-        assert_eq!(scheduler.counter(METRIC_STEALS), stats.steals);
-        // Every worker that drained records a miss when the batch empties.
-        assert!(scheduler.counter(METRIC_STEAL_MISSES) >= 1);
+        let lanes = scratches
+            .into_iter()
+            .map(|s| s.lane.into_events())
+            .collect();
         let timeline = Timeline::merge(8, lanes);
-        let steal_instants = timeline
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    TimelineEvent::Instant {
-                        kind: InstantKind::Steal,
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
-        assert_eq!(steal_instants, stats.steals);
+        let instants = |want: InstantKind| {
+            timeline
+                .events
+                .iter()
+                .filter(|e| matches!(e, TimelineEvent::Instant { kind, .. } if *kind == want))
+                .count() as u64
+        };
+        // The timeline and the flight recorder agree with the pool's own
+        // steal count.
+        assert_eq!(instants(InstantKind::Steal), stats.steals);
+        let flight_steals = flight.dump_json().matches("\"kind\":\"steal\"").count() as u64;
+        assert_eq!(flight_steals, stats.steals);
+        // Every worker that drained records a miss when the batch empties.
+        assert!(instants(InstantKind::StealMiss) >= 1);
     }
 }

@@ -140,19 +140,21 @@ fn accept_loop(listener: &TcpListener, handle: &BatchHandle, stop: &AtomicBool) 
 /// Reads one request, writes one response, closes.
 fn serve_connection(stream: TcpStream, handle: &BatchHandle) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    // Cap the request head: past MAX_REQUEST_BYTES, read_line sees EOF.
+    // Cap the request head: past MAX_REQUEST_BYTES, reads see EOF.
+    // Lines are read as bytes: a head that is not UTF-8 is a bad request,
+    // not a read error that closes the connection unanswered.
     let mut reader = BufReader::new(stream).take(MAX_REQUEST_BYTES);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut request_line = Vec::new();
+    reader.read_until(b'\n', &mut request_line)?;
     // Drain the headers; HTTP/1.0 GETs carry no body.
-    let mut truncated = !request_line.ends_with('\n');
+    let mut truncated = request_line.last() != Some(&b'\n');
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
+        let mut line = Vec::new();
+        if reader.read_until(b'\n', &mut line)? == 0 {
             truncated = truncated || reader.limit() == 0;
             break;
         }
-        if line.trim_end().is_empty() {
+        if line.trim_ascii().is_empty() {
             break;
         }
     }
@@ -169,6 +171,9 @@ fn serve_connection(stream: TcpStream, handle: &BatchHandle) -> io::Result<()> {
         return respond(&mut stream, 431, "text/plain", "request too large\n");
     }
 
+    let Ok(request_line) = std::str::from_utf8(&request_line) else {
+        return respond(&mut stream, 400, "text/plain", "bad request\n");
+    };
     let mut parts = request_line.split_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m, p),

@@ -133,13 +133,10 @@ pub use obsv::{
 pub use pipeline::{
     allocate_function, allocate_function_instrumented, allocate_program,
     allocate_program_instrumented, count_kinds, degraded_allocation, AllocRequest, FuncAllocation,
-    JobCtx, ProgramAllocation, RangeSummary, RefAssignment,
+    JobCtx, ProgramAllocation, RangeSummary, RefAssignment, METRIC_MEM_PEAK, METRIC_MEM_RECORDS,
 };
 pub use priority::allocate_bank_priority;
-pub use quality::{
-    memprof_finish, memprof_record, memprof_start, score_program, FuncQuality, MemProfile,
-    PhaseMem, QualityReport,
-};
+pub use quality::{score_program, FuncQuality, QualityReport};
 pub use reconstruct::reconstruct_context;
 pub use rewrite::{insert_overhead_markers, FinalAssignment, MarkerRewrite};
 pub use spill::{insert_spill_code_traced, SpillRewrite, TempRef};

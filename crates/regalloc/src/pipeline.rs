@@ -263,25 +263,35 @@ pub fn allocate_function_instrumented(
     result
 }
 
-/// Records the dominant resident structures of one built [`FuncContext`]
-/// into the thread's memory-profiling tally (no-op unless
-/// [`crate::quality::memprof_start`] armed it): the node array plus both
-/// directions of the adjacency lists.
-fn memprof_context(phase: Phase, ctx: &FuncContext) {
-    crate::quality::memprof_record(
-        phase,
-        (ctx.nodes.len() * std::mem::size_of::<crate::node::NodeInfo>()
-            + ctx.graph.num_edges() * 2 * std::mem::size_of::<u32>()) as u64,
-    );
+/// Gauge: the largest working-set estimate, in bytes, an allocation
+/// recorded — a built context's nodes and adjacency lists, or a rewritten
+/// body's instructions.
+pub const METRIC_MEM_PEAK: &str = "alloc_mem_peak_bytes";
+/// Counter: working-set estimates recorded (one per context built or
+/// body rewritten).
+pub const METRIC_MEM_RECORDS: &str = "alloc_mem_records_total";
+
+/// Records one working-set estimate into the metrics registry: the peak
+/// as a gauge, the record count as a counter. The crate forbids `unsafe`,
+/// so there is no allocator shim; the estimates are explicit byte counts
+/// of the dominant structures — a built context's node array plus both
+/// directions of its adjacency lists ([`context_bytes`]), or a rewritten
+/// body's instruction stream ([`body_bytes`]). No-op without an enabled
+/// registry.
+fn record_mem(tr: &mut TraceCtx<'_>, bytes: usize) {
+    if let Some(m) = tr.metrics() {
+        m.gauge_max(METRIC_MEM_PEAK, bytes as f64);
+        m.inc(METRIC_MEM_RECORDS);
+    }
 }
 
-/// Records one rewritten body's resident instruction stream under
-/// `phase` (same gating as [`memprof_context`]).
-fn memprof_body(phase: Phase, body: &Function) {
-    crate::quality::memprof_record(
-        phase,
-        (body.num_insts() * std::mem::size_of::<ccra_ir::Inst>()) as u64,
-    );
+fn context_bytes(ctx: &FuncContext) -> usize {
+    ctx.nodes.len() * std::mem::size_of::<crate::node::NodeInfo>()
+        + ctx.graph.num_edges() * 2 * std::mem::size_of::<u32>()
+}
+
+fn body_bytes(body: &Function) -> usize {
+    body.num_insts() * std::mem::size_of::<ccra_ir::Inst>()
 }
 
 fn allocate_function_impl(
@@ -302,9 +312,10 @@ fn allocate_function_impl(
     let mut rounds = 0u32;
     let mut ctx = {
         let mut tr = TraceCtx::with_metrics(sink, metrics, &name, 1);
-        build_context_traced(&body, freq, cost, &mut tr)?
+        let ctx = build_context_traced(&body, freq, cost, &mut tr)?;
+        record_mem(&mut tr, context_bytes(&ctx));
+        ctx
     };
-    memprof_context(Phase::Build, &ctx);
     loop {
         rounds += 1;
         metrics.inc("alloc_rounds_total");
@@ -357,7 +368,7 @@ fn allocate_function_impl(
             &result.spilled,
             &mut tr,
         )?;
-        memprof_body(Phase::SpillInsert, &body);
+        record_mem(&mut tr, body_bytes(&body));
         ctx = if config.incremental_reconstruction {
             let next = crate::reconstruct::reconstruct_context_traced(
                 &ctx,
@@ -366,12 +377,12 @@ fn allocate_function_impl(
                 &body,
                 &mut tr,
             );
-            memprof_context(Phase::Reconstruct, &next);
+            record_mem(&mut tr, context_bytes(&next));
             next
         } else {
             let mut tr = TraceCtx::with_metrics(sink, metrics, &name, rounds + 1);
             let next = build_context_traced(&body, freq, cost, &mut tr)?;
-            memprof_context(Phase::Build, &next);
+            record_mem(&mut tr, context_bytes(&next));
             next
         };
     }
@@ -439,11 +450,11 @@ fn degraded_allocation_instrumented(
     {
         let mut tr = TraceCtx::with_metrics(sink, metrics, &name, 1);
         let ctx = build_context_traced(&body, freq, cost, &mut tr)?;
-        memprof_context(Phase::Build, &ctx);
+        record_mem(&mut tr, context_bytes(&ctx));
         let all: Vec<u32> = (0..ctx.nodes.len() as u32).collect();
         spilled_ranges = all.len();
         crate::spill::insert_spill_code_instrumented(&mut body, &ctx, &all, &mut tr)?;
-        memprof_body(Phase::SpillInsert, &body);
+        record_mem(&mut tr, body_bytes(&body));
     }
 
     // Round 2: color the residue (parameter webs and spill temporaries,
@@ -495,7 +506,7 @@ fn finish_function(
     let marker_rw = insert_overhead_markers(&mut body, ctx, &assignment);
     let refs = claim_refs(&body, ctx, &assignment.colors, &marker_rw);
     tr.span_end(span, Phase::Rewrite);
-    memprof_body(Phase::Rewrite, &body);
+    record_mem(tr, body_bytes(&body));
     let overhead = crate::accounting::weighted_overhead(&body, freq);
     let ranges = summarize(ctx, &assignment.colors);
     if tr.enabled() {

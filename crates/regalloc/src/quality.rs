@@ -30,20 +30,6 @@
 //! scoring the merge of N workers produces the same bytes as scoring the
 //! serial allocation — a property the driver tests pin at workers
 //! 1/2/4/8.
-//!
-//! # Memory profiling
-//!
-//! The module also hosts the per-[`Phase`] allocation-accounting tally
-//! ([`MemProfile`]) behind the same zero-cost-when-off discipline as
-//! `trace`/`metrics`: a thread-local that is `None` until
-//! [`memprof_start`] arms it, so the pipeline's [`memprof_record`] sites
-//! cost one thread-local read when profiling is off. The crate forbids
-//! `unsafe`, so there is no global-allocator shim; the sites record
-//! explicit byte *estimates* of the dominant per-phase structures (graph
-//! adjacency, node arrays, spill rewrites, reference claims) — exactly
-//! the before-numbers an arena/data-layout overhaul needs.
-
-use std::cell::RefCell;
 
 use ccra_analysis::{FrequencyInfo, InterpConfig, RunStats};
 use ccra_ir::{FuncId, Function, Inst, OverheadKind};
@@ -53,134 +39,7 @@ use serde::json::Value;
 use crate::accounting::{measured_overhead, weighted_overhead};
 use crate::metrics::MetricsRegistry;
 use crate::pipeline::ProgramAllocation;
-use crate::trace::Phase;
 use crate::types::Overhead;
-
-/// One phase's allocation-accounting tally (explicit byte estimates, see
-/// the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PhaseMem {
-    /// The largest single resident-bytes estimate recorded in this phase
-    /// (the phase's peak working set, as estimated by its record sites).
-    pub peak_bytes: u64,
-    /// Sum of all recorded estimates (total allocation churn attributed
-    /// to this phase).
-    pub total_bytes: u64,
-    /// How many allocation events (record calls) the phase logged.
-    pub allocs: u64,
-}
-
-/// Per-[`Phase`] allocation accounting for one profiled region, indexed
-/// in [`Phase::ALL`] order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemProfile {
-    /// One tally per pipeline phase, in [`Phase::ALL`] order.
-    pub per_phase: [PhaseMem; Phase::ALL.len()],
-}
-
-impl MemProfile {
-    /// The tally of one phase.
-    pub fn phase(&self, phase: Phase) -> &PhaseMem {
-        &self.per_phase[phase_index(phase)]
-    }
-
-    /// The largest per-phase peak — the profiled region's high-water
-    /// estimate.
-    pub fn peak_bytes(&self) -> u64 {
-        self.per_phase
-            .iter()
-            .map(|p| p.peak_bytes)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Total recorded allocation events across all phases.
-    pub fn total_allocs(&self) -> u64 {
-        self.per_phase.iter().map(|p| p.allocs).sum()
-    }
-
-    /// Folds another profile into this one (peaks max, totals sum) — how
-    /// per-function tallies aggregate into a program profile.
-    pub fn merge(&mut self, other: &MemProfile) {
-        for (mine, theirs) in self.per_phase.iter_mut().zip(other.per_phase.iter()) {
-            mine.peak_bytes = mine.peak_bytes.max(theirs.peak_bytes);
-            mine.total_bytes += theirs.total_bytes;
-            mine.allocs += theirs.allocs;
-        }
-    }
-
-    /// The profile as a JSON object: one entry per phase that recorded
-    /// anything, plus the overall peak (deterministic: [`Phase::ALL`]
-    /// order).
-    pub fn to_json_value(&self) -> Value {
-        let mut phases = Vec::new();
-        for phase in Phase::ALL {
-            let mem = self.phase(phase);
-            if mem.allocs == 0 {
-                continue;
-            }
-            phases.push((
-                phase.name().to_string(),
-                Value::Obj(vec![
-                    ("peak_bytes".to_string(), Value::Int(mem.peak_bytes as i64)),
-                    (
-                        "total_bytes".to_string(),
-                        Value::Int(mem.total_bytes as i64),
-                    ),
-                    ("allocs".to_string(), Value::Int(mem.allocs as i64)),
-                ]),
-            ));
-        }
-        Value::Obj(vec![
-            (
-                "peak_bytes".to_string(),
-                Value::Int(self.peak_bytes() as i64),
-            ),
-            (
-                "total_allocs".to_string(),
-                Value::Int(self.total_allocs() as i64),
-            ),
-            ("phases".to_string(), Value::Obj(phases)),
-        ])
-    }
-}
-
-fn phase_index(phase: Phase) -> usize {
-    Phase::ALL
-        .iter()
-        .position(|&p| p == phase)
-        .expect("Phase::ALL is exhaustive")
-}
-
-thread_local! {
-    static MEMPROF: RefCell<Option<MemProfile>> = const { RefCell::new(None) };
-}
-
-/// Arms the calling thread's memory-profiling tally (resetting any prior
-/// one). Until this is called, [`memprof_record`] is a no-op costing one
-/// thread-local read — the enabled-flag pattern of `trace`/`metrics`.
-pub fn memprof_start() {
-    MEMPROF.with(|t| *t.borrow_mut() = Some(MemProfile::default()));
-}
-
-/// Records one allocation event: `bytes` estimated resident for `phase`
-/// on this thread. No-op unless [`memprof_start`] armed the tally.
-pub fn memprof_record(phase: Phase, bytes: u64) {
-    MEMPROF.with(|t| {
-        if let Some(profile) = t.borrow_mut().as_mut() {
-            let mem = &mut profile.per_phase[phase_index(phase)];
-            mem.peak_bytes = mem.peak_bytes.max(bytes);
-            mem.total_bytes += bytes;
-            mem.allocs += 1;
-        }
-    });
-}
-
-/// Disarms the calling thread's tally and returns it; `None` if
-/// [`memprof_start`] never armed it.
-pub fn memprof_finish() -> Option<MemProfile> {
-    MEMPROF.with(|t| t.borrow_mut().take())
-}
 
 /// One function's quality scores within a [`QualityReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -226,9 +85,6 @@ pub struct QualityReport {
     /// step-limit abort). Scoring never aborts on a replay failure — the
     /// estimate is still a score.
     pub replay_error: Option<String>,
-    /// The per-phase memory profile of the allocation that produced this
-    /// program, when one was collected.
-    pub mem: Option<MemProfile>,
 }
 
 impl QualityReport {
@@ -249,9 +105,9 @@ impl QualityReport {
         self.funcs.iter().filter(|f| f.degraded).count()
     }
 
-    /// The report as a deterministic JSON object (functions in id order,
-    /// phases in [`Phase::ALL`] order) — the `quality` payload of
-    /// `/status` and the explain/eval snapshots.
+    /// The report as a deterministic JSON object (functions in id order)
+    /// — the `quality` payload of `/status` and the explain/eval
+    /// snapshots.
     pub fn to_json_value(&self) -> Value {
         let overhead_value = |o: &Overhead| {
             Value::Obj(vec![
@@ -307,9 +163,6 @@ impl QualityReport {
         }
         if let Some(err) = &self.replay_error {
             fields.push(("replay_error".to_string(), Value::Str(err.clone())));
-        }
-        if let Some(mem) = &self.mem {
-            fields.push(("mem".to_string(), mem.to_json_value()));
         }
         fields.push(("funcs".to_string(), Value::Arr(funcs)));
         Value::Obj(fields)
@@ -459,14 +312,16 @@ pub fn score_program(
         measured,
         measured_cycles,
         replay_error,
-        mem: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::allocate_program;
+    use crate::pipeline::{
+        allocate_program, allocate_program_instrumented, AllocRequest, METRIC_MEM_PEAK,
+        METRIC_MEM_RECORDS,
+    };
     use crate::types::AllocatorConfig;
     use ccra_machine::RegisterFile;
     use ccra_workloads::{spec_program, SpecProgram};
@@ -560,55 +415,64 @@ mod tests {
         assert_eq!(off.counter("quality_reports_total"), 0);
     }
 
+    /// The working-set records land in the registry the pipeline is
+    /// given, and only an enabled one: a disabled registry stays empty,
+    /// and merging per-function registries keeps the peak a peak while
+    /// the record counts sum.
     #[test]
     fn memprof_tally_is_off_until_armed_and_merges() {
-        assert!(memprof_finish().is_none(), "disarmed by default");
-        memprof_record(Phase::Build, 1_000_000);
-        assert!(memprof_finish().is_none(), "recording while off is a no-op");
+        let p = spec_program(SpecProgram::Compress);
+        let freq = FrequencyInfo::estimate(&p);
+        let file = RegisterFile::new(6, 4, 2, 0);
+        let config = AllocatorConfig::improved();
+        let run = |metrics: &mut MetricsRegistry| {
+            let req = AllocRequest {
+                program: &p,
+                freq: &freq,
+                file,
+                config: &config,
+                cost: &ccra_machine::CostModel::paper(),
+            };
+            allocate_program_instrumented(&req, &mut crate::trace::NoopSink, metrics)
+                .expect("allocates");
+        };
+        let mut off = MetricsRegistry::disabled();
+        run(&mut off);
+        assert!(off.gauge(METRIC_MEM_PEAK).is_none(), "disabled is off");
+        assert_eq!(off.counter(METRIC_MEM_RECORDS), 0);
 
-        memprof_start();
-        memprof_record(Phase::Build, 100);
-        memprof_record(Phase::Build, 400);
-        memprof_record(Phase::Rewrite, 50);
-        let profile = memprof_finish().expect("armed tally comes back");
-        assert_eq!(profile.phase(Phase::Build).peak_bytes, 400);
-        assert_eq!(profile.phase(Phase::Build).total_bytes, 500);
-        assert_eq!(profile.phase(Phase::Build).allocs, 2);
-        assert_eq!(profile.phase(Phase::Rewrite).allocs, 1);
-        assert_eq!(profile.peak_bytes(), 400);
-        assert_eq!(profile.total_allocs(), 3);
-        assert!(memprof_finish().is_none(), "finish disarms");
-
-        let mut merged = profile.clone();
-        merged.merge(&profile);
-        assert_eq!(merged.phase(Phase::Build).peak_bytes, 400, "peaks max");
-        assert_eq!(merged.phase(Phase::Build).total_bytes, 1000, "totals sum");
-        let json = merged.to_json_value();
-        assert!(json.get("phases").and_then(|p| p.get("build")).is_some());
-        assert!(
-            json.get("phases").and_then(|p| p.get("coalesce")).is_none(),
-            "silent phases are omitted"
+        let mut on = MetricsRegistry::new();
+        run(&mut on);
+        let peak = on.gauge(METRIC_MEM_PEAK).expect("armed registry records");
+        let records = on.counter(METRIC_MEM_RECORDS);
+        let mut merged = on.clone();
+        merged.merge(&on);
+        assert_eq!(merged.gauge(METRIC_MEM_PEAK), Some(peak), "peaks max");
+        assert_eq!(
+            merged.counter(METRIC_MEM_RECORDS),
+            2 * records,
+            "counts sum"
         );
     }
 
     #[test]
     fn pipeline_records_memprof_when_armed() {
+        // One record per context built and per body rewritten: at least
+        // the first build and the final rewrite of every function.
         let p = spec_program(SpecProgram::Compress);
         let freq = FrequencyInfo::estimate(&p);
-        memprof_start();
-        let _ = allocate_program(
-            &p,
-            &freq,
-            RegisterFile::new(6, 4, 2, 0),
-            &AllocatorConfig::improved(),
-        )
-        .expect("allocates");
-        let profile = memprof_finish().expect("armed");
-        assert!(
-            profile.phase(Phase::Build).allocs > 0,
-            "build phase recorded allocation events"
-        );
-        assert!(profile.phase(Phase::Build).peak_bytes > 0);
-        assert!(profile.phase(Phase::Rewrite).allocs > 0);
+        let mut metrics = MetricsRegistry::new();
+        let req = AllocRequest {
+            program: &p,
+            freq: &freq,
+            file: RegisterFile::new(6, 4, 2, 0),
+            config: &AllocatorConfig::improved(),
+            cost: &ccra_machine::CostModel::paper(),
+        };
+        allocate_program_instrumented(&req, &mut crate::trace::NoopSink, &mut metrics)
+            .expect("allocates");
+        let funcs = p.num_functions() as u64;
+        assert!(metrics.counter(METRIC_MEM_RECORDS) >= 2 * funcs);
+        assert!(metrics.gauge(METRIC_MEM_PEAK).is_some_and(|b| b > 0.0));
     }
 }

@@ -316,37 +316,6 @@ fn request_traces_ride_results_and_render_chrome_json() {
     assert!(handle.trace(99).is_none(), "unknown ids stay unknown");
 }
 
-/// With [`BatchConfig::trace_requests`] off, requests still run and
-/// measure latency — they just carry no timeline.
-#[test]
-fn tracing_off_still_serves_but_records_no_timeline() {
-    let service = BatchService::start(BatchConfig {
-        workers: 1,
-        queue_capacity: 4,
-        trace_requests: false,
-        ..BatchConfig::default()
-    });
-    let handle = service.handle();
-    service
-        .submit(light_job("untraced", 77))
-        .expect("queue open");
-    let results = service.shutdown();
-    assert_eq!(results.len(), 1);
-    assert_eq!(results[0].status, BatchStatus::Ok);
-    assert!(results[0].trace.is_none(), "no trace when tracing is off");
-    assert!(handle.trace(0).is_none());
-    // Latency histograms observe regardless.
-    let status = handle.status_value();
-    let e2e = status
-        .get("latency")
-        .and_then(|l| l.get("e2e"))
-        .expect("latency section present");
-    assert_eq!(
-        e2e.get("count").and_then(serde::json::Value::as_i64),
-        Some(1)
-    );
-}
-
 /// A failing job automatically snapshots the flight recorder; the dump is
 /// valid JSON carrying the failure event and the submission path.
 #[test]

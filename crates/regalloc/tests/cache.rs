@@ -95,23 +95,20 @@ fn warm_reallocation_is_byte_identical_to_cold_at_every_worker_count() {
 
     let mut warms: Vec<ProgramAllocation> = Vec::new();
     for workers in WORKER_COUNTS {
-        let (cold, cold_report) = run_driver(workers, &edited, &edited_freq, None);
-        assert_eq!(
-            cold_report.scheduler.counter("cache_hits_total"),
-            0,
-            "no cache traffic without a cache"
-        );
+        let (cold, _) = run_driver(workers, &edited, &edited_freq, None);
 
         let cache = AllocCache::default();
         run_driver(workers, &base, &base_freq, Some(&cache));
+        let before = cache.stats();
         let (warm, report) = run_driver(workers, &edited, &edited_freq, Some(&cache));
+        let after = cache.stats();
 
         assert_eq!(
             warm, cold,
             "warm result differs from cold at {workers} worker(s)"
         );
-        assert_eq!(report.scheduler.counter("cache_hits_total"), 35);
-        assert_eq!(report.scheduler.counter("cache_misses_total"), 5);
+        assert_eq!(after.hits - before.hits, 35);
+        assert_eq!(after.misses - before.misses, 5);
         // Every job reports Ok whether replayed or freshly allocated.
         assert_eq!(report.statuses.len(), 40);
         warms.push(warm);
@@ -127,10 +124,12 @@ fn a_fully_warm_cache_replays_the_entire_program() {
     let freq = FrequencyInfo::estimate(&program);
     let cache = AllocCache::default();
     let (first, _) = run_driver(4, &program, &freq, Some(&cache));
-    let (second, report) = run_driver(4, &program, &freq, Some(&cache));
+    let before = cache.stats();
+    let (second, _) = run_driver(4, &program, &freq, Some(&cache));
+    let after = cache.stats();
     assert_eq!(second, first);
-    assert_eq!(report.scheduler.counter("cache_hits_total"), 24);
-    assert_eq!(report.scheduler.counter("cache_misses_total"), 0);
+    assert_eq!(after.hits - before.hits, 24);
+    assert_eq!(after.misses - before.misses, 0);
 }
 
 fn cache_field(status: &Value, key: &str) -> i64 {

@@ -451,15 +451,15 @@ fn traced_batches_match_serial_and_summarize() {
         assert_eq!(summary.steals, report.steals);
         assert!(summary.to_string().contains("4 job(s)"), "{summary}");
 
-        // The scheduler shard carries the driver_* names — and only here.
-        assert_eq!(report.scheduler.counter("driver_jobs_total"), 4);
-        assert_eq!(
-            report.scheduler.counter("driver_steals_total"),
-            report.steals
-        );
+        // The timeline's per-lane facts agree with the report's counts.
+        assert_eq!(report.jobs_per_worker.iter().sum::<u64>(), 4);
+        let lanes = timeline.summary().lanes;
+        assert_eq!(lanes.iter().map(|l| l.jobs).sum::<u64>(), 4);
+        assert_eq!(lanes.iter().map(|l| l.steals).sum::<u64>(), report.steals);
     }
 
-    // A disabled collector is free: no events, no scheduler metrics.
+    // A disabled collector is free: no events, and the report still
+    // counts the jobs.
     let driver = ParallelDriver::new(4);
     let req = AllocRequest {
         program: &program,
@@ -480,7 +480,7 @@ fn traced_batches_match_serial_and_summarize() {
         )
         .expect("untraced allocation succeeds");
     assert!(timeline.is_empty(), "disabled collector records nothing");
-    assert!(report.scheduler.is_empty(), "no scheduler shard either");
+    assert_eq!(report.jobs_per_worker.iter().sum::<u64>(), 4);
 }
 
 #[test]
@@ -562,8 +562,8 @@ fn batch_service_shutdown_with_nothing_submitted_is_clean() {
 
 /// Full observability on — timeline collector AND flight recorder — never
 /// changes the allocation: at every worker count the observed run equals
-/// the serial reference byte for byte, and the flight record stays in the
-/// report (no dump, since nothing degraded).
+/// the serial reference byte for byte, and the flight record holds no
+/// degrade event.
 #[test]
 fn observed_runs_are_deterministic_at_every_worker_count() {
     let program = many_function_fuzz(1997, 17);
@@ -627,15 +627,16 @@ fn observed_runs_are_deterministic_at_every_worker_count() {
             flight.total_events() >= program.num_functions() as u64 * 2,
             "a start and an end event per job at least"
         );
+        assert_eq!(report.degraded_funcs(), 0);
         assert!(
-            report.flight_dump.is_none(),
-            "workers={workers}: clean runs do not dump"
+            !flight.dump_json().contains("job_degraded"),
+            "workers={workers}: clean runs record no degrade"
         );
     }
 }
 
-/// A degrading job auto-dumps the flight recorder into the report as
-/// valid JSON carrying the failure event.
+/// A degrading job leaves its failure event in the flight recorder, whose
+/// dump is valid JSON.
 #[test]
 fn degraded_jobs_dump_the_flight_recorder_as_valid_json() {
     for (victim, panic, kind) in [
@@ -666,11 +667,8 @@ fn degraded_jobs_dump_the_flight_recorder_as_valid_json() {
             .expect("the faulty job degrades, the batch survives");
         assert_eq!(report.degraded_funcs(), 1);
 
-        let dump = report
-            .flight_dump
-            .as_ref()
-            .expect("a degraded batch dumps automatically");
-        let parsed = serde::json::parse(dump).expect("dump is valid JSON");
+        let dump = flight.dump_json();
+        let parsed = serde::json::parse(&dump).expect("dump is valid JSON");
         let Some(serde::json::Value::Arr(events)) = parsed.get("events") else {
             panic!("dump has an events array");
         };
