@@ -9,12 +9,12 @@
 //!
 //! * `--scale` — workload scale (default 1.0).
 //! * `--iters` — timed iterations per cell (default 3). At `workers = 1`
-//!   each iteration is a serial run and a driver run back to back,
-//!   alternating which goes first; at other worker counts the fastest
-//!   iteration is kept.
+//!   each iteration is a pair of blocks of at least 20 ms each, serial
+//!   calls and driver calls interleaved call by call; at other worker
+//!   counts the fastest iteration is kept.
 //! * `--w1-threshold` — the median of the `workers = 1` pairs'
-//!   serial/driver ratios must not fall more than this many percent below
-//!   1 (default 10); exit 1 otherwise.
+//!   serial/driver block-total ratios must not fall more than this many
+//!   percent below 1 (default 10); exit 1 otherwise.
 //!
 //! Speedups are wall-clock honest: on a single-core machine every worker
 //! count measures ≈ 1.0×, and that is the number printed.

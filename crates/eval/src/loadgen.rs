@@ -53,7 +53,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ccra_regalloc::driver::batch::{METRIC_E2E, METRIC_JOB_MICROS, METRIC_QUEUE_WAIT};
-use ccra_regalloc::obsv::RULE_E2E_BURN;
+use ccra_regalloc::obsv::{BURN_SHORT_WINDOW, RAW_INTERVAL_US, RULE_E2E_BURN};
 use ccra_regalloc::{
     AdmissionConfig, AlertRuleStats, AlertState, AllocCache, BatchConfig, BatchJob, BatchResult,
     BatchService, BatchStatus, CancelOutcome, ChaosConfig, Clock, ManualClock, Observatory,
@@ -544,9 +544,7 @@ pub fn run_chaosload(
 ) -> (ChaosReport, Vec<BatchResult>) {
     let admission = AdmissionConfig {
         slo_us: cfg.slo_us.max(1),
-        min_limit: 1,
         max_limit: cfg.max_limit.max(1),
-        ..AdmissionConfig::default()
     };
     let chaos = ChaosConfig {
         seed: cfg.seed,
@@ -568,10 +566,7 @@ pub fn run_chaosload(
         clock: Arc::clone(&obsv_clock) as Arc<dyn Clock>,
         sampler_thread: false,
         e2e_slo_us: (cfg.spike_us / 2).max(1),
-        ..ObsvConfig::default()
     };
-    let tick_interval = obsv_cfg.raw_interval_us;
-    let burn_short_window = obsv_cfg.burn_short_window;
     let service = BatchService::start(BatchConfig {
         workers: cfg.workers.max(1),
         queue_capacity: cfg.queue_capacity.max(1),
@@ -581,14 +576,13 @@ pub fn run_chaosload(
         chaos: Some(chaos),
         cache: cache.clone(),
         obsv: Some(obsv_cfg),
-        ..BatchConfig::default()
     });
     let handle = service.handle();
     // One deterministic sample: advance the manual clock a full interval,
     // then tick the observatory through the service handle (the handle
     // records alert transitions into the flight recorder).
     let obsv_tick = || {
-        obsv_clock.advance(tick_interval);
+        obsv_clock.advance(RAW_INTERVAL_US);
         handle.obsv_tick();
     };
     let storm = TrafficShape::storm(cfg.jobs, cfg.seed, cfg.mean_gap_us)
@@ -683,7 +677,7 @@ pub fn run_chaosload(
     // The idle tail: enough empty intervals to flush the storm (and any
     // spiked trickle job) out of the short burn window, so the alert
     // resolves before the run ends — an idle interval reads burn 0.
-    for _ in 0..burn_short_window + 1 {
+    for _ in 0..=BURN_SHORT_WINDOW {
         obsv_tick();
     }
 

@@ -6,11 +6,15 @@
 //! One gate rides on the sweep: [`workers1_gate`] — the driver at
 //! `workers = 1` must not be slower than the serial pipeline by more than
 //! a small tolerance: the sharding machinery itself has to be near-free.
-//! The comparison is paired: each serial run is timed back to back with a
-//! `workers = 1` run, alternating which goes first, and the gate reads the
-//! median of the per-pair ratios ([`paired_speedup`]), so a noisy moment
-//! on a shared machine hits both sides of one pair instead of one side of
-//! the whole comparison. The sweep runs with the flight recorder **enabled**, takes one
+//! The comparison is paired: a pair is a block of serial calls and a
+//! block of `workers = 1` calls, interleaved call by call (alternating
+//! which goes first), and the gate reads the median of the ratios of the
+//! block totals ([`paired_speedup`]). Each block holds as many calls as
+//! make up at least [`PAIR_BLOCK_US`] ([`block_calls`], calibrated per
+//! workload), so one preemption of a few milliseconds moves a ratio by a
+//! few percent instead of several fold, and the interleaving puts both
+//! blocks of a pair on the same stretch of machine time, so a slower
+//! spell of a shared machine slows both. The sweep runs with the flight recorder **enabled**, takes one
 //! admission-limiter round trip ([`ccra_regalloc::AdmissionController`])
 //! per timed run, and polls an enabled [`ccra_regalloc::Observatory`] once
 //! per timed run (the same interval-gated `maybe_tick` the background
@@ -25,7 +29,7 @@
 //! why the gate bounds only the `workers = 1` overhead, not a speedup
 //! floor).
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ccra_analysis::FrequencyInfo;
 use ccra_ir::Program;
@@ -66,13 +70,13 @@ pub struct ParEntry {
     pub funcs: u64,
     /// Instructions (terminators included) in the workload.
     pub instrs: u64,
-    /// Best-of-N parallel allocation wall-clock microseconds.
+    /// Best-of-N parallel allocation wall-clock microseconds per call.
     pub micros: u64,
     /// Instructions allocated per second (from the best iteration).
     pub instrs_per_sec: f64,
     /// Serial-pipeline time divided by this entry's time (> 1 = the
     /// driver was faster than `allocate_program`): at `workers = 1` the
-    /// median ratio of the paired runs ([`paired_speedup`]), otherwise
+    /// median ratio of the paired blocks ([`paired_speedup`]), otherwise
     /// best serial over best parallel.
     pub speedup: f64,
 }
@@ -133,8 +137,51 @@ pub fn par_workloads(scale: Scale) -> Vec<ParWorkload> {
     out
 }
 
+/// The least wall-clock time each side of a `workers = 1` pair runs for.
+pub const PAIR_BLOCK_US: u64 = 20_000;
+
+/// How many back-to-back calls of `probe_us` each make a block of at
+/// least [`PAIR_BLOCK_US`] (at least one; at most 10 000, for calls too
+/// quick for the clock to see).
+pub fn block_calls(probe_us: u64) -> u32 {
+    PAIR_BLOCK_US.div_ceil(probe_us.max(1)).min(10_000) as u32
+}
+
+/// Times one pair: `calls` calls of `serial` and `calls` of `driver` (at
+/// least one each), interleaved call by call with `serial` first on even
+/// steps when `serial_first` and on odd steps otherwise. Returns each
+/// side's block total in microseconds with its last call's output.
+fn time_pair<S, D>(
+    calls: u32,
+    serial_first: bool,
+    mut serial: impl FnMut() -> S,
+    mut driver: impl FnMut() -> D,
+) -> ((u64, S), (u64, D)) {
+    fn timed<T>(total: &mut Duration, call: &mut impl FnMut() -> T) -> T {
+        let start = Instant::now();
+        let out = call();
+        *total += start.elapsed();
+        out
+    }
+    let (mut serial_total, mut driver_total) = (Duration::ZERO, Duration::ZERO);
+    let mut last = None;
+    for step in 0..calls.max(1) {
+        last = Some(if (step % 2 == 0) == serial_first {
+            let s = timed(&mut serial_total, &mut serial);
+            (s, timed(&mut driver_total, &mut driver))
+        } else {
+            let d = timed(&mut driver_total, &mut driver);
+            (timed(&mut serial_total, &mut serial), d)
+        });
+    }
+    let (s, d) = last.expect("at least one call per side");
+    let micros = |d: Duration| d.as_micros() as u64;
+    ((micros(serial_total), s), (micros(driver_total), d))
+}
+
 /// The median of the per-pair ratios `serial_us / driver_us` — the
-/// `workers = 1` speedup of a paired comparison (1.0 without pairs).
+/// `workers = 1` speedup of a paired comparison (1.0 without pairs). A
+/// pair is two block totals of the same call count.
 pub fn paired_speedup(pairs: &[(u64, u64)]) -> f64 {
     let mut ratios: Vec<f64> = pairs
         .iter()
@@ -148,12 +195,10 @@ pub fn paired_speedup(pairs: &[(u64, u64)]) -> f64 {
     }
 }
 
-/// One timed serial-pipeline run.
-fn time_serial(req: &AllocRequest<'_>, name: &str) -> (u64, ProgramAllocation) {
-    let start = Instant::now();
-    let out = allocate_program_instrumented(req, &mut NoopSink, &mut MetricsRegistry::disabled())
-        .unwrap_or_else(|e| panic!("{name} failed to allocate: {e}"));
-    (start.elapsed().as_micros() as u64, out)
+/// One serial-pipeline run.
+fn allocate_serial(req: &AllocRequest<'_>, name: &str) -> ProgramAllocation {
+    allocate_program_instrumented(req, &mut NoopSink, &mut MetricsRegistry::disabled())
+        .unwrap_or_else(|e| panic!("{name} failed to allocate: {e}"))
 }
 
 /// The driver at one worker count with the serving-path instruments the
@@ -215,9 +260,11 @@ impl TimedDriver {
     }
 }
 
-/// Runs the sweep: for each workload, `iters` serial runs each paired
-/// with a `workers = 1` driver run (alternating which goes first), then a
-/// best-of-`iters` [`ParallelDriver`] run per other worker count, each
+/// Runs the sweep: for each workload, `iters` pairs of a serial block and
+/// a `workers = 1` driver block (interleaved call by call, alternating
+/// which goes first; both of [`block_calls`] calls, calibrated on one
+/// call of each), then
+/// a best-of-`iters` [`ParallelDriver`] run per other worker count, each
 /// verified byte-identical to the serial result. Calls `progress` after
 /// each finished entry with the entry and the final iteration's
 /// [`DriverSummary`] (job/degraded/panic counts are deterministic; the
@@ -257,19 +304,27 @@ pub fn run_par_sweep(
             let mut pairs = Vec::new();
             let mut best_micros = u64::MAX;
             let mut summary = None;
+            // The calibration: one call of each side sizes the blocks.
+            let calls = if workers == 1 {
+                let start = Instant::now();
+                allocate_serial(&req, name);
+                let serial_probe = start.elapsed().as_micros() as u64;
+                block_calls(serial_probe.min(timed.run(&req, name).0))
+            } else {
+                1
+            };
             for i in 0..iters.max(1) {
                 let (micros, out, run_summary) = if workers == 1 {
-                    let ((serial_us, serial_out), driver_run) = if i % 2 == 0 {
-                        let serial = time_serial(&req, name);
-                        (serial, timed.run(&req, name))
-                    } else {
-                        let driver_run = timed.run(&req, name);
-                        (time_serial(&req, name), driver_run)
-                    };
-                    serial_micros = serial_micros.min(serial_us);
+                    let ((serial_us, serial_out), (driver_us, (_, out, run_summary))) = time_pair(
+                        calls,
+                        i % 2 == 0,
+                        || allocate_serial(&req, name),
+                        || timed.run(&req, name),
+                    );
+                    serial_micros = serial_micros.min(serial_us / u64::from(calls));
                     serial_alloc = Some(serial_out);
-                    pairs.push((serial_us, driver_run.0));
-                    driver_run
+                    pairs.push((serial_us, driver_us));
+                    (driver_us / u64::from(calls), out, run_summary)
                 } else {
                     timed.run(&req, name)
                 };
@@ -285,7 +340,7 @@ pub fn run_par_sweep(
             let speedup = if workers == 1 {
                 paired_speedup(&pairs)
             } else {
-                serial_micros as f64 / best_micros.max(1) as f64
+                serial_micros.max(1) as f64 / best_micros.max(1) as f64
             };
             let entry = ParEntry {
                 workload: name.clone(),
@@ -308,7 +363,7 @@ pub fn run_par_sweep(
 /// The `workers = 1` overhead gate: the driver with one worker runs jobs
 /// inline, so it must stay within `threshold_pct` percent of the serial
 /// pipeline on every workload. The sweep's `workers = 1` speedup is the
-/// median of its paired ratios ([`paired_speedup`]).
+/// median of its paired block ratios ([`paired_speedup`]).
 ///
 /// # Errors
 ///
@@ -392,6 +447,56 @@ mod tests {
         );
         assert!(!err.contains("eqntott"), "{err}");
         assert_eq!(paired_speedup(&[]), 1.0);
+
+        // The block form: each side of a pair is `block_calls` calls of at
+        // least PAIR_BLOCK_US in total, calibrated on one call.
+        assert_eq!(block_calls(1_000), 20);
+        assert_eq!(block_calls(7), 2_858, "rounds up to cover the block");
+        assert_eq!(block_calls(PAIR_BLOCK_US + 1), 1, "long calls run once");
+        assert_eq!(block_calls(0), 10_000, "a call too quick to see is capped");
+        // A 1 ms preemption lands on the driver side in three of five
+        // pairs; the driver is really 3% slower per call. Single calls
+        // read the stall as a 0.49x driver; blocks of 20 calls read it as
+        // 0.93x and pass, while a driver really 20% slower fails both.
+        let (serial_call, driver_call, stall) = (1_000u64, 1_030u64, 1_000u64);
+        let stalled = [true, false, true, true, false];
+        let pairs_of = |calls: u64, driver_call: u64| -> Vec<(u64, u64)> {
+            stalled
+                .iter()
+                .map(|&hit| {
+                    let driver = calls * driver_call + if hit { stall } else { 0 };
+                    (calls * serial_call, driver)
+                })
+                .collect()
+        };
+        let calls = u64::from(block_calls(serial_call));
+        let single = paired("eqntott", &pairs_of(1, driver_call));
+        let block = paired("eqntott", &pairs_of(calls, driver_call));
+        let slow_block = paired("eqntott", &pairs_of(calls, 1_200));
+        assert!((single.speedup - 1_000.0 / 2_030.0).abs() < 1e-12);
+        assert!((block.speedup - 20_000.0 / 21_600.0).abs() < 1e-12);
+        workers1_gate(&[single], 10.0).expect_err("one-call pairs trip on the stall");
+        workers1_gate(&[block], 10.0).expect("blocks absorb the stall");
+        workers1_gate(&[slow_block], 10.0).expect_err("a 20% slower driver still trips");
+        // time_pair interleaves the sides call by call, in the order asked
+        // for, and hands back each side's last output.
+        for (serial_first, order) in [(true, "sddssd"), (false, "dssdds")] {
+            let log = std::cell::RefCell::new(String::new());
+            let ((_, s), (_, d)) = time_pair(
+                3,
+                serial_first,
+                || {
+                    log.borrow_mut().push('s');
+                    log.borrow().len()
+                },
+                || {
+                    log.borrow_mut().push('d');
+                    log.borrow().len()
+                },
+            );
+            assert_eq!(log.into_inner(), order);
+            assert_eq!((s, d), if serial_first { (5, 6) } else { (6, 5) });
+        }
     }
 
     #[test]

@@ -19,10 +19,9 @@
 //!   a retry-after hint instead of a queue slot, and the shed is counted.
 //! * [`AdmissionController::on_complete`] feeds back one finished job's
 //!   end-to-end latency: at or under [`AdmissionConfig::slo_us`] the limit
-//!   grows by [`AdmissionConfig::step`] (additive increase, toward
+//!   grows by [`STEP`] (additive increase, toward
 //!   [`AdmissionConfig::max_limit`]); over it the limit is multiplied by
-//!   [`AdmissionConfig::backoff`] (multiplicative decrease, floored at
-//!   [`AdmissionConfig::min_limit`]).
+//!   [`BACKOFF`] (multiplicative decrease, floored at [`MIN_LIMIT`]).
 //! * [`AdmissionController::on_miss`] is the deadline-expiry signal — the
 //!   job never ran, but it queued past its deadline, which is congestion
 //!   evidence just like an over-SLO completion.
@@ -40,54 +39,40 @@
 
 use std::sync::Mutex;
 
+/// The window never shrinks below this many jobs, so the service always
+/// makes progress and can observe recovery.
+pub const MIN_LIMIT: f64 = 1.0;
+/// Multiplicative-decrease factor applied on an over-SLO completion or a
+/// deadline miss: the window halves.
+pub const BACKOFF: f64 = 0.5;
+/// Additive-increase step applied on an on-time completion: one slot per
+/// good completion.
+pub const STEP: f64 = 1.0;
+
 /// Tuning knobs of an [`AdmissionController`].
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
     /// The end-to-end latency target, microseconds: completions at or
     /// under it grow the window, completions over it shrink it.
     pub slo_us: u64,
-    /// The window never shrinks below this many jobs (≥ 1, so the service
-    /// always makes progress and can observe recovery).
-    pub min_limit: usize,
-    /// The window never grows beyond this many jobs; also the starting
-    /// limit (full admission until latency says otherwise).
+    /// The window never grows beyond this many jobs (at least
+    /// [`MIN_LIMIT`]); also the starting limit (full admission until
+    /// latency says otherwise).
     pub max_limit: usize,
-    /// Multiplicative-decrease factor applied on an over-SLO completion
-    /// or a deadline miss (clamped into `(0, 1)`; e.g. `0.5` halves the
-    /// window).
-    pub backoff: f64,
-    /// Additive-increase step applied on an on-time completion (jobs;
-    /// e.g. `1.0` re-opens one slot per good completion).
-    pub step: f64,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
             slo_us: 50_000,
-            min_limit: 1,
             max_limit: 64,
-            backoff: 0.5,
-            step: 1.0,
         }
     }
 }
 
 impl AdmissionConfig {
-    fn min_limit(&self) -> f64 {
-        self.min_limit.max(1) as f64
-    }
-
     fn max_limit(&self) -> f64 {
-        (self.max_limit.max(self.min_limit.max(1))) as f64
-    }
-
-    fn backoff(&self) -> f64 {
-        if self.backoff > 0.0 && self.backoff < 1.0 {
-            self.backoff
-        } else {
-            0.5
-        }
+        (self.max_limit as f64).max(MIN_LIMIT)
     }
 }
 
@@ -170,10 +155,10 @@ impl AdmissionController {
         inner.admitted = inner.admitted.saturating_sub(1);
         if e2e_us > self.config.slo_us {
             inner.late += 1;
-            inner.limit = (inner.limit * self.config.backoff()).max(self.config.min_limit());
+            inner.limit = (inner.limit * BACKOFF).max(MIN_LIMIT);
         } else {
             inner.on_time += 1;
-            inner.limit = (inner.limit + self.config.step.max(0.0)).min(self.config.max_limit());
+            inner.limit = (inner.limit + STEP).min(self.config.max_limit());
         }
     }
 
@@ -183,7 +168,7 @@ impl AdmissionController {
         let mut inner = self.inner.lock().expect("admission lock");
         inner.admitted = inner.admitted.saturating_sub(1);
         inner.late += 1;
-        inner.limit = (inner.limit * self.config.backoff()).max(self.config.min_limit());
+        inner.limit = (inner.limit * BACKOFF).max(MIN_LIMIT);
     }
 
     /// Frees the slot of an admitted job with no latency signal (e.g.
@@ -213,10 +198,7 @@ mod tests {
     fn small() -> AdmissionConfig {
         AdmissionConfig {
             slo_us: 1_000,
-            min_limit: 1,
             max_limit: 4,
-            backoff: 0.5,
-            step: 1.0,
         }
     }
 
@@ -323,12 +305,9 @@ mod tests {
     fn degenerate_configs_are_clamped() {
         let ctrl = AdmissionController::new(AdmissionConfig {
             slo_us: 0,
-            min_limit: 0,
             max_limit: 0,
-            backoff: 7.5,
-            step: -3.0,
         });
-        // min/max clamp to 1; backoff falls back to 0.5; step to 0.
+        // The ceiling clamps to the floor of one; the retry hint to 1us.
         ctrl.try_admit().expect("limit clamped to at least one");
         assert_eq!(ctrl.try_admit().expect_err("window of one"), 1);
         ctrl.on_complete(5);

@@ -66,11 +66,12 @@
 //!
 //! Every per-job fact lives in one ledger behind one lock: each accepted
 //! id's lifecycle entry, the results in completion order, the service
-//! metrics, the quality aggregate, and the retained flight dumps. A worker
-//! touches it twice per job — at pick-up and at resolve — and every
-//! outcome (ran, expired, cancelled) resolves through the same path, so
-//! each read of the handle (`/status` included) is one consistent
-//! snapshot.
+//! metrics, and the retained flight dumps. A worker touches it twice per
+//! job — at pick-up and at resolve — and every outcome (ran, expired,
+//! cancelled) resolves through the same path, so each read of the handle
+//! (`/status` included) is one consistent snapshot. The service does not
+//! score allocation quality; that is an offline pass
+//! ([`crate::quality::score_program`]).
 //!
 //! # Request-scoped tracing
 //!
@@ -111,7 +112,7 @@ use std::time::{Duration, Instant};
 
 use ccra_analysis::FrequencyInfo;
 use ccra_ir::{Program, RegClass};
-use ccra_machine::{CostModel, CycleModel, RegisterFile};
+use ccra_machine::{CostModel, RegisterFile};
 use serde::json::Value;
 
 use crate::driver::admission::{AdmissionConfig, AdmissionController, AdmissionSnapshot};
@@ -123,13 +124,12 @@ use crate::driver::timeline::{
     InstantKind, Lane, SpanKind, Timeline, TimelineCollector, TimelineEvent,
 };
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::obsv::{AlertTransition, Observatory};
+use crate::obsv::{AlertTransition, Observatory, RAW_INTERVAL_US};
 use crate::pipeline::AllocRequest;
 use crate::pipeline::ProgramAllocation;
-use crate::quality::{score_program, QualityReport};
 use crate::trace::chrometrace::to_chrome_trace;
 use crate::trace::NoopSink;
-use crate::types::{AllocatorConfig, Overhead};
+use crate::types::AllocatorConfig;
 
 /// Service counter: jobs accepted by `submit`/`try_submit`.
 pub const METRIC_SUBMITTED: &str = "batch_jobs_submitted_total";
@@ -174,8 +174,9 @@ const FLIGHT_DUMP_KEEP: usize = 8;
 const TRACE_KEEP: usize = 32;
 
 /// Version of the `/status` document shape. v1 was the pre-observatory
-/// document; v2 added `uptime_us` and this `build` object.
-pub const STATUS_SCHEMA_VERSION: u32 = 2;
+/// document; v2 added `uptime_us` and this `build` object; v3 dropped
+/// the `quality` object.
+pub const STATUS_SCHEMA_VERSION: u32 = 3;
 
 /// Sizing knobs for a [`BatchService`].
 #[derive(Debug, Clone)]
@@ -198,14 +199,6 @@ pub struct BatchConfig {
     /// Deterministic fault injection ([`crate::driver::chaos`]); `None`
     /// (the default) injects nothing.
     pub chaos: Option<ChaosConfig>,
-    /// Whether each successful job is scored through the quality
-    /// observatory ([`crate::quality`]): estimated vs replay-measured
-    /// overhead folded into the service metrics and the `/status`
-    /// `quality` object. Off (the default) costs one branch per job —
-    /// the same zero-cost-when-off discipline as tracing. Scoring is a
-    /// pure post-pass on the merged allocation, so enabling it never
-    /// changes any result's bytes.
-    pub score_quality: bool,
     /// The content-addressed memo cache ([`crate::cache::AllocCache`]):
     /// every submission's functions are looked up before scheduling and
     /// strict results are inserted after, so repeat traffic replays warm
@@ -236,7 +229,6 @@ impl Default for BatchConfig {
             admission: None,
             job_timeout: None,
             chaos: None,
-            score_quality: false,
             cache: None,
             obsv: None,
         }
@@ -637,34 +629,6 @@ impl QueuedJob {
     }
 }
 
-/// The service-wide quality aggregate (jobs scored so far): sums of the
-/// per-job program scores. Deterministic given the set of scored jobs —
-/// sums commute.
-#[derive(Debug, Default, Clone)]
-struct QualityAgg {
-    jobs_scored: u64,
-    replay_failures: u64,
-    estimated: Overhead,
-    measured: Overhead,
-    estimated_cycles: f64,
-    measured_cycles: f64,
-}
-
-impl QualityAgg {
-    fn add(&mut self, quality: &QualityReport) {
-        self.jobs_scored += 1;
-        self.estimated += quality.estimated;
-        self.estimated_cycles += quality.estimated_cycles;
-        match quality.measured {
-            Some(measured) => {
-                self.measured += measured;
-                self.measured_cycles += quality.measured_cycles.unwrap_or(0.0);
-            }
-            None => self.replay_failures += 1,
-        }
-    }
-}
-
 /// Every per-job fact the service records, behind the one lock of
 /// [`Shared::ledger`] (see the module docs).
 #[derive(Default)]
@@ -677,7 +641,6 @@ struct Ledger {
     results: Vec<BatchResult>,
     /// The service metrics (the `batch_*` names).
     metrics: MetricsRegistry,
-    quality: QualityAgg,
     /// Retained automatic flight dumps, oldest first, each tagged with the
     /// id whose resolution triggered it.
     dumps: VecDeque<(u64, Value)>,
@@ -719,7 +682,6 @@ struct Shared {
     shard_workers: usize,
     job_timeout: Option<Duration>,
     chaos: Option<ChaosConfig>,
-    score_quality: bool,
     cache: Option<Arc<crate::cache::AllocCache>>,
     flight: FlightRecorder,
     obsv: Option<Arc<Observatory>>,
@@ -812,17 +774,11 @@ impl Shared {
 
     /// Resolves an accepted submission — the single exit of the per-id
     /// state machine, whether the job ran, expired, or was cancelled. One
-    /// ledger acquisition counts the outcome, folds the job's quality
-    /// score, retains a flight dump for a degraded or failed job, and
-    /// stores the result. The admission callback and the flight-recorder
-    /// serialization run outside the lock.
-    fn resolve(
-        &self,
-        queued_at: Instant,
-        priority: Priority,
-        result: BatchResult,
-        quality: Option<QualityReport>,
-    ) {
+    /// ledger acquisition counts the outcome, retains a flight dump for a
+    /// degraded or failed job, and stores the result. The admission
+    /// callback and the flight-recorder serialization run outside the
+    /// lock.
+    fn resolve(&self, queued_at: Instant, priority: Priority, result: BatchResult) {
         let e2e = queued_at.elapsed().as_micros() as u64;
         if let Some(adm) = &self.admission {
             match result.status {
@@ -866,10 +822,6 @@ impl Shared {
                     }
                 }
             }
-        }
-        if let Some(quality) = &quality {
-            quality.export_metrics(m);
-            ledger.quality.add(quality);
         }
         if let Some(dump) = dump {
             if ledger.dumps.len() >= FLIGHT_DUMP_KEEP {
@@ -956,9 +908,8 @@ impl RequestClock {
 
 /// Runs one submission on a service worker: records the service span and
 /// service-level flight events, shards the program through
-/// [`ParallelDriver`] under the request's clock, scores it when the
-/// service scores quality, and assembles the [`BatchResult`] with its
-/// [`RequestTrace`].
+/// [`ParallelDriver`] under the request's clock, and assembles the
+/// [`BatchResult`] with its [`RequestTrace`].
 ///
 /// `flight` is the worker's lane block: shard workers record on view
 /// lanes `0..shard_workers`, the service-level events land on view lane
@@ -970,7 +921,7 @@ fn run_batch_job(
     shared: &Shared,
     flight: FlightView<'_>,
     queued_at: Instant,
-) -> (BatchResult, Option<QualityReport>) {
+) -> BatchResult {
     let start = Instant::now();
     let shard_workers = shared.shard_workers;
     let mut clock = RequestClock::pick_up(queued_at, shard_workers);
@@ -1006,7 +957,6 @@ fn run_batch_job(
     let job_ref: &dyn AllocJob = timeout_job.as_ref().map_or(inner, |t| t as &dyn AllocJob);
 
     let driver = ParallelDriver::new(shard_workers);
-    let mut quality = None;
     let (status, allocation, timeline) = match FrequencyInfo::profile(&job.program) {
         Err(e) => (
             BatchStatus::Failed {
@@ -1040,14 +990,6 @@ fn run_batch_job(
                     Timeline::empty(),
                 ),
                 Ok((alloc, report, timeline)) => {
-                    if shared.score_quality {
-                        quality = Some(score_program(
-                            &alloc,
-                            &freq,
-                            &job.config.label(),
-                            &CycleModel::decstation(),
-                        ));
-                    }
                     let degraded = report.degraded_funcs();
                     let status = if degraded == 0 {
                         BatchStatus::Ok
@@ -1086,15 +1028,14 @@ fn run_batch_job(
         format!("req-{id} {name}")
     });
     let trace = clock.finish(id, &name, timeline, service_us, None);
-    let result = BatchResult {
+    BatchResult {
         id,
         name,
         status,
         allocation,
         micros: service_us,
         trace: Some(trace),
-    };
-    (result, quality)
+    }
 }
 
 /// Resolves a submission that never ran (deadline expiry or
@@ -1279,7 +1220,7 @@ impl BatchHandle {
     ///
     /// ```json
     /// {"uptime_us": 1234567,
-    ///  "build": {"crate_version": "0.1.0", "status_schema": 2},
+    ///  "build": {"crate_version": "0.1.0", "status_schema": 3},
     ///  "queue_depth": 0, "in_flight": 1, "completed": 2,
     ///  "degraded_funcs": 0,
     ///  "jobs": [{"id": 0, "name": "eqntott", "status": "ok",
@@ -1380,25 +1321,6 @@ impl BatchHandle {
             ("timeouts", int(m.counter(METRIC_TIMEOUTS))),
             ("per_priority", per_priority_latency(m)),
         ]);
-        let mut quality = vec![("enabled", Value::Bool(self.shared.score_quality))];
-        if self.shared.score_quality {
-            let agg = &ledger.quality;
-            let (estimated, measured) = (agg.estimated.total(), agg.measured.total());
-            let drift = if measured > 0.0 {
-                100.0 * (estimated - measured) / measured
-            } else {
-                0.0
-            };
-            quality.extend([
-                ("jobs_scored", int(agg.jobs_scored)),
-                ("replay_failures", int(agg.replay_failures)),
-                ("estimated_ops", Value::Float(estimated)),
-                ("measured_ops", Value::Float(measured)),
-                ("estimated_cycles", Value::Float(agg.estimated_cycles)),
-                ("measured_cycles", Value::Float(agg.measured_cycles)),
-                ("drift_pct", Value::Float(drift)),
-            ]);
-        }
         let counts = [
             ("in_flight", int(ledger.running)),
             ("completed", int(done.len() as u64)),
@@ -1437,7 +1359,6 @@ impl BatchHandle {
         doc.extend([
             ("latency", latency),
             ("admission", obj(admission)),
-            ("quality", obj(quality)),
             ("cache", obj(cache)),
             ("jobs", Value::Arr(jobs)),
         ]);
@@ -1462,14 +1383,9 @@ fn int(n: u64) -> Value {
 
 impl BatchService {
     /// Starts the service: spawns [`BatchConfig::workers`] threads that
-    /// drain the submission queue until [`BatchService::shutdown`]. Uses
-    /// the paper's cost model; see [`BatchService::start_with_cost`].
+    /// drain the submission queue until [`BatchService::shutdown`], each
+    /// allocating under the paper's cost model.
     pub fn start(config: BatchConfig) -> Self {
-        BatchService::start_with_cost(config, CostModel::paper())
-    }
-
-    /// Like [`BatchService::start`] with an explicit cost model.
-    pub fn start_with_cost(config: BatchConfig, cost: CostModel) -> Self {
         let service_workers = config.workers.max(1);
         let shard_workers = config.shard_workers.max(1);
         // Flight lanes: lane 0 is the submission path; each service worker
@@ -1483,11 +1399,10 @@ impl BatchService {
             queue: BoundedQueue::new(config.queue_capacity),
             ledger: Mutex::new(Ledger::default()),
             admission: config.admission.map(AdmissionController::new),
-            cost,
+            cost: CostModel::paper(),
             shard_workers,
             job_timeout: config.job_timeout,
             chaos: config.chaos,
-            score_quality: config.score_quality,
             cache: config.cache,
             flight: FlightRecorder::new(flight_lanes),
             obsv,
@@ -1509,14 +1424,13 @@ impl BatchService {
                         } = queued;
                         let priority = job.priority;
                         let flight = shared.flight.view(lane_base);
-                        let (result, quality) = match shared.pick_up(id, deadline_at) {
-                            Some(status) => (
-                                resolve_unrun(id, job, status, &shared, flight, queued_at),
-                                None,
-                            ),
+                        let result = match shared.pick_up(id, deadline_at) {
+                            Some(status) => {
+                                resolve_unrun(id, job, status, &shared, flight, queued_at)
+                            }
                             None => run_batch_job(id, job, &shared, flight, queued_at),
                         };
-                        shared.resolve(queued_at, priority, result, quality);
+                        shared.resolve(queued_at, priority, result);
                     }
                 })
             })
@@ -1525,6 +1439,8 @@ impl BatchService {
         // lets the observatory's own interval gate decide when to tick.
         // Only spawned when the config asks for it — deterministic callers
         // (tests, the chaos harness) drive `BatchHandle::obsv_tick` instead.
+        // The first poll runs before the stop check, so a sampler ticks at
+        // least once however soon the service shuts down.
         let sampler_stop = Arc::new(AtomicBool::new(false));
         let sampler = shared
             .obsv
@@ -1533,15 +1449,11 @@ impl BatchService {
             .then(|| {
                 let shared = Arc::clone(&shared);
                 let stop = Arc::clone(&sampler_stop);
-                let interval = shared
-                    .obsv
-                    .as_ref()
-                    .map_or(2_000_000, |o| o.config().raw_interval_us);
-                let poll = Duration::from_micros((interval / 8).clamp(1_000, 250_000));
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        shared.obsv_maybe_tick();
-                        std::thread::sleep(poll);
+                std::thread::spawn(move || loop {
+                    shared.obsv_maybe_tick();
+                    std::thread::sleep(Duration::from_micros(RAW_INTERVAL_US / 8));
+                    if stop.load(Ordering::Relaxed) {
+                        break;
                     }
                 })
             });

@@ -7,7 +7,7 @@
 //! trace, which is where degradations and panics actually occur. It is
 //! designed to stay enabled in production:
 //!
-//! * **Fixed memory.** Each lane owns a ring of [`FlightRecorder::capacity`]
+//! * **Fixed memory.** Each lane owns a ring of [`DEFAULT_FLIGHT_CAPACITY`]
 //!   [`FlightEvent`]s (a few KiB); old events are overwritten, never
 //!   reallocated. The count of overwritten events is kept, so a dump says
 //!   how much history it lost.
@@ -45,7 +45,7 @@ use std::time::Instant;
 
 use serde::json::Value;
 
-/// Default per-lane ring capacity (events retained per lane).
+/// Per-lane ring capacity (events retained per lane).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// What a flight-recorder event marks. Payload meanings (`a`, `b`) are
@@ -167,13 +167,13 @@ impl Ring {
         }
     }
 
-    fn push(&mut self, capacity: usize, event: FlightEvent) {
-        if self.events.len() < capacity {
+    fn push(&mut self, event: FlightEvent) {
+        if self.events.len() < DEFAULT_FLIGHT_CAPACITY {
             self.events.push(event);
         } else {
             self.events[self.next] = event;
         }
-        self.next = (self.next + 1) % capacity.max(1);
+        self.next = (self.next + 1) % DEFAULT_FLIGHT_CAPACITY;
         self.total += 1;
     }
 
@@ -197,24 +197,16 @@ impl Ring {
 pub struct FlightRecorder {
     on: bool,
     epoch: Instant,
-    capacity: usize,
     lanes: Vec<Mutex<Ring>>,
 }
 
 impl FlightRecorder {
-    /// A recorder with `lanes` lanes at the default per-lane capacity
-    /// ([`DEFAULT_FLIGHT_CAPACITY`]).
+    /// A recorder with `lanes` lanes (clamped to ≥ 1), each retaining the
+    /// newest [`DEFAULT_FLIGHT_CAPACITY`] events.
     pub fn new(lanes: usize) -> Self {
-        FlightRecorder::with_capacity(lanes, DEFAULT_FLIGHT_CAPACITY)
-    }
-
-    /// A recorder with `lanes` lanes retaining up to `capacity` events
-    /// each (both clamped to ≥ 1).
-    pub fn with_capacity(lanes: usize, capacity: usize) -> Self {
         FlightRecorder {
             on: true,
             epoch: Instant::now(),
-            capacity: capacity.max(1),
             lanes: (0..lanes.max(1)).map(|_| Mutex::new(Ring::new())).collect(),
         }
     }
@@ -225,7 +217,6 @@ impl FlightRecorder {
         FlightRecorder {
             on: false,
             epoch: Instant::now(),
-            capacity: 1,
             lanes: vec![Mutex::new(Ring::new())],
         }
     }
@@ -233,16 +224,6 @@ impl FlightRecorder {
     /// Whether this recorder records.
     pub fn is_enabled(&self) -> bool {
         self.on
-    }
-
-    /// The per-lane ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// How many lanes the recorder has.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// Records one event on `lane` (clamped into range). Reads the clock
@@ -256,16 +237,13 @@ impl FlightRecorder {
         self.lanes[index]
             .lock()
             .expect("flight recorder lane lock")
-            .push(
-                self.capacity,
-                FlightEvent {
-                    ts_us,
-                    lane,
-                    kind,
-                    a,
-                    b,
-                },
-            );
+            .push(FlightEvent {
+                ts_us,
+                lane,
+                kind,
+                a,
+                b,
+            });
     }
 
     /// A recording view whose lane 0 is this recorder's lane `base` — how
@@ -315,7 +293,10 @@ impl FlightRecorder {
             })
             .collect();
         Value::Obj(vec![
-            ("capacity".to_string(), Value::Int(self.capacity as i64)),
+            (
+                "capacity".to_string(),
+                Value::Int(DEFAULT_FLIGHT_CAPACITY as i64),
+            ),
             ("lanes".to_string(), Value::Int(self.lanes.len() as i64)),
             ("recorded".to_string(), Value::Int(recorded as i64)),
             ("dropped".to_string(), Value::Int(dropped as i64)),
@@ -339,22 +320,9 @@ pub struct FlightView<'a> {
 }
 
 impl FlightView<'_> {
-    /// Whether the underlying recorder records.
-    pub fn enabled(&self) -> bool {
-        self.rec.is_enabled()
-    }
-
     /// Records on recorder lane `base + lane`.
     pub fn record(&self, lane: u32, kind: FlightKind, a: u64, b: u64) {
         self.rec.record(self.base + lane, kind, a, b);
-    }
-
-    /// A sub-view whose lane 0 is this view's lane `offset`.
-    pub fn offset(&self, offset: u32) -> FlightView<'_> {
-        FlightView {
-            rec: self.rec,
-            base: self.base + offset,
-        }
     }
 }
 
@@ -379,28 +347,32 @@ mod tests {
 
     #[test]
     fn rings_wrap_and_report_drops() {
-        let rec = FlightRecorder::with_capacity(1, 4);
-        for i in 0..10u64 {
+        let rec = FlightRecorder::new(1);
+        let total = DEFAULT_FLIGHT_CAPACITY as u64 + 6;
+        for i in 0..total {
             rec.record(0, FlightKind::JobOk, i, 0);
         }
-        assert_eq!(rec.total_events(), 10);
+        assert_eq!(rec.total_events(), total);
         let dump = rec.dump();
-        assert_eq!(dump.get("recorded").and_then(Value::as_i64), Some(10));
+        assert_eq!(
+            dump.get("recorded").and_then(Value::as_i64),
+            Some(total as i64)
+        );
         assert_eq!(dump.get("dropped").and_then(Value::as_i64), Some(6));
         let Some(Value::Arr(events)) = dump.get("events") else {
             panic!("dump has an events array");
         };
-        // The four newest survive, oldest first.
+        // The six oldest are gone; the rest survive, oldest first.
         let ids: Vec<i64> = events
             .iter()
             .map(|e| e.get("a").and_then(Value::as_i64).expect("payload a"))
             .collect();
-        assert_eq!(ids, vec![6, 7, 8, 9]);
+        assert_eq!(ids, (6..total as i64).collect::<Vec<_>>());
     }
 
     #[test]
     fn lanes_are_independent_and_merge_sorted() {
-        let rec = FlightRecorder::with_capacity(3, 8);
+        let rec = FlightRecorder::new(3);
         rec.record(2, FlightKind::Steal, 5, 1);
         rec.record(0, FlightKind::JobStart, 7, 0);
         rec.record(1, FlightKind::JobDegraded, 7, 2);
@@ -427,7 +399,7 @@ mod tests {
 
     #[test]
     fn out_of_range_lanes_clamp_instead_of_panicking() {
-        let rec = FlightRecorder::with_capacity(2, 4);
+        let rec = FlightRecorder::new(2);
         rec.record(99, FlightKind::JobPanicked, 1, 0);
         assert_eq!(rec.total_events(), 1);
         // The event's declared lane survives even though it was stored in
@@ -441,11 +413,10 @@ mod tests {
 
     #[test]
     fn views_offset_lanes() {
-        let rec = FlightRecorder::with_capacity(6, 8);
+        let rec = FlightRecorder::new(6);
         let view = rec.view(2);
-        assert!(view.enabled());
         view.record(0, FlightKind::JobStart, 1, 0);
-        view.offset(3).record(0, FlightKind::JobOk, 1, 0);
+        view.record(3, FlightKind::JobOk, 1, 0);
         let dump = rec.dump();
         let Some(Value::Arr(events)) = dump.get("events") else {
             panic!("dump has an events array");

@@ -256,7 +256,8 @@ struct JobReturn {
 /// An [`AllocSink`] shim that mirrors [`PhaseSpan`] events onto a timeline
 /// lane as nested phase spans (back-dated: the event is emitted right as
 /// the phase ends, so `start = now - micros`) while forwarding everything
-/// to the job's recorder, if any.
+/// to the job's recorder, if any. Without a recorder it wants the phase
+/// timings only, so the pipeline builds no other event for it.
 struct PhaseTap<'a> {
     inner: Option<&'a mut RecordingSink>,
     lane: &'a mut Lane,
@@ -264,6 +265,10 @@ struct PhaseTap<'a> {
 
 impl AllocSink for PhaseTap<'_> {
     fn enabled(&self) -> bool {
+        self.inner.is_some()
+    }
+
+    fn times_phases(&self) -> bool {
         self.inner.is_some() || self.lane.enabled()
     }
 

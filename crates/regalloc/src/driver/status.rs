@@ -381,7 +381,7 @@ mod tests {
         assert!(get(addr, "/history?series=x&tier=weekly").starts_with("HTTP/1.0 400"));
 
         // One manual tick makes the derived series queryable at both tiers.
-        clock.set(2_000_000);
+        clock.set(crate::obsv::RAW_INTERVAL_US);
         handle.obsv_tick();
         for (path, expect_points) in [
             ("/history?series=derived:queue_delay_slope_us_per_s", true),
@@ -412,30 +412,22 @@ mod tests {
 
     #[test]
     fn healthz_goes_503_naming_the_firing_critical_rule() {
-        use crate::obsv::{AlertCondition, AlertRule, Clock, ManualClock, ObsvConfig};
+        use crate::driver::batch::BatchJob;
+        use crate::obsv::{Clock, ManualClock, ObsvConfig, RAW_INTERVAL_US, RULE_E2E_BURN};
+        use crate::types::AllocatorConfig;
+        use ccra_ir::{FunctionBuilder, Program, RegClass};
+        use ccra_machine::RegisterFile;
         use std::sync::Arc;
 
         let clock = Arc::new(ManualClock::new());
-        // A critical rule that fires on the first tick: queue occupancy is
-        // always >= 0, so `above: -1` violates immediately.
-        let rule = AlertRule {
-            name: "always_on_probe".to_string(),
-            condition: AlertCondition::Above {
-                series: "gauge:batch_queue_depth".to_string(),
-                above: -1.0,
-                clear_below: -2.0,
-            },
-            pending_us: 0,
-            resolve_us: 0,
-            critical: true,
-        };
+        // A 1us SLO: every real completion is over it, so one job of real
+        // traffic fires the default critical burn rule on the next tick.
         let service = BatchService::start(BatchConfig {
             workers: 1,
             obsv: Some(ObsvConfig {
-                clock: clock.clone() as Arc<dyn Clock>,
+                e2e_slo_us: 1,
                 sampler_thread: false,
-                rules: Some(vec![rule]),
-                ..ObsvConfig::default()
+                clock: clock.clone() as Arc<dyn Clock>,
             }),
             ..BatchConfig::default()
         });
@@ -447,13 +439,33 @@ mod tests {
             get(addr, "/healthz").starts_with("HTTP/1.0 200"),
             "healthy before any tick"
         );
-        clock.set(2_000_000);
+        let mut b = FunctionBuilder::new("main");
+        let x = b.new_vreg(RegClass::Int);
+        b.iconst(x, 1);
+        b.ret(Some(x));
+        let mut program = Program::new();
+        let id = program.add_function(b.finish());
+        program.set_main(id);
+        let job = BatchJob::new(
+            "probe",
+            program,
+            RegisterFile::mips_full(),
+            AllocatorConfig::improved(),
+        );
+        service.submit(job).expect("accepted");
+        while handle.statuses().is_empty() {
+            std::thread::yield_now();
+        }
+        clock.set(RAW_INTERVAL_US);
         let fired = handle.obsv_tick();
-        assert_eq!(fired.len(), 1, "probe rule fires on the first tick");
+        assert!(
+            fired.iter().any(|t| t.fired && t.rule == RULE_E2E_BURN),
+            "the burn rule fires on the first tick: {fired:?}"
+        );
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.0 503"), "{health}");
         assert!(
-            health.ends_with("critical alert firing: always_on_probe\n"),
+            health.ends_with(&format!("critical alert firing: {RULE_E2E_BURN}\n")),
             "{health}"
         );
 

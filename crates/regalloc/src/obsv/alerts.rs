@@ -31,6 +31,7 @@ use std::collections::VecDeque;
 use serde::json::Value;
 
 use super::series::SeriesStore;
+use super::ALERT_LOG_CAPACITY;
 
 /// The fire/clear condition of a rule. Fire and clear thresholds differ
 /// on purpose: the gap between them is the hysteresis band.
@@ -237,30 +238,24 @@ impl RuleRuntime {
     }
 }
 
-/// The evaluator: rules, their runtimes, and a bounded transition log.
+/// The evaluator: rules, their runtimes, and a transition log bounded
+/// at [`ALERT_LOG_CAPACITY`].
 #[derive(Debug)]
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
     runtime: Vec<RuleRuntime>,
     log: VecDeque<AlertTransition>,
-    log_capacity: usize,
 }
 
 impl AlertEngine {
     /// An engine over a fixed rule list.
-    pub fn new(rules: Vec<AlertRule>, log_capacity: usize) -> Self {
+    pub fn new(rules: Vec<AlertRule>) -> Self {
         let runtime = rules.iter().map(|_| RuleRuntime::new()).collect();
         AlertEngine {
             rules,
             runtime,
             log: VecDeque::new(),
-            log_capacity: log_capacity.max(1),
         }
-    }
-
-    /// The configured rules.
-    pub fn rules(&self) -> &[AlertRule] {
-        &self.rules
     }
 
     /// Evaluates every rule against the store's latest points, advancing
@@ -303,7 +298,7 @@ impl AlertEngine {
                                 value,
                             };
                             out.push(t.clone());
-                            Self::log_push(&mut self.log, self.log_capacity, t);
+                            Self::log_push(&mut self.log, t);
                         }
                     } else {
                         rt.clear_since_us = None;
@@ -331,15 +326,15 @@ impl AlertEngine {
                         value,
                     };
                     out.push(t.clone());
-                    Self::log_push(&mut self.log, self.log_capacity, t);
+                    Self::log_push(&mut self.log, t);
                 }
             }
         }
         out
     }
 
-    fn log_push(log: &mut VecDeque<AlertTransition>, capacity: usize, t: AlertTransition) {
-        while log.len() >= capacity {
+    fn log_push(log: &mut VecDeque<AlertTransition>, t: AlertTransition) {
+        while log.len() >= ALERT_LOG_CAPACITY {
             log.pop_front();
         }
         log.push_back(t);
@@ -451,8 +446,8 @@ mod tests {
 
     #[test]
     fn pending_window_not_yet_elapsed_suppresses_the_fire() {
-        let mut store = SeriesStore::new(100, 100, 15);
-        let mut engine = AlertEngine::new(vec![above_rule(5_000_000, 0)], 16);
+        let mut store = SeriesStore::new();
+        let mut engine = AlertEngine::new(vec![above_rule(5_000_000, 0)]);
         // Violating, but only for two ticks (4s) of a 5s pending window.
         assert!(drive(&mut engine, &mut store, 0, 50.0).is_empty());
         assert_eq!(engine.state_of("hot"), Some(AlertState::Pending));
@@ -482,8 +477,8 @@ mod tests {
 
     #[test]
     fn hysteresis_band_suppresses_flapping() {
-        let mut store = SeriesStore::new(100, 100, 15);
-        let mut engine = AlertEngine::new(vec![above_rule(0, 0)], 16);
+        let mut store = SeriesStore::new();
+        let mut engine = AlertEngine::new(vec![above_rule(0, 0)]);
         let out = drive(&mut engine, &mut store, 0, 50.0);
         assert_eq!(out.len(), 1, "pending_us=0 fires on the first tick");
         // Oscillating inside the hysteresis band (5.0 .. 10.0): the rule
@@ -504,9 +499,9 @@ mod tests {
 
     #[test]
     fn resolve_needs_the_clear_window_then_the_rule_can_refire() {
-        let mut store = SeriesStore::new(100, 100, 15);
+        let mut store = SeriesStore::new();
         // resolve_us = 2 ticks worth.
-        let mut engine = AlertEngine::new(vec![above_rule(0, 2 * TICK)], 16);
+        let mut engine = AlertEngine::new(vec![above_rule(0, 2 * TICK)]);
         assert_eq!(drive(&mut engine, &mut store, 0, 99.0).len(), 1);
         // Clear condition holds but the resolve window hasn't elapsed.
         assert!(drive(&mut engine, &mut store, TICK, 1.0).is_empty());
@@ -543,8 +538,8 @@ mod tests {
             resolve_us: 0,
             critical: true,
         };
-        let mut store = SeriesStore::new(100, 100, 15);
-        let mut engine = AlertEngine::new(vec![rule], 16);
+        let mut store = SeriesStore::new();
+        let mut engine = AlertEngine::new(vec![rule]);
         // Only the short window hot: min() stays low, no fire.
         store.push("s", 0, 30.0);
         store.push("l", 0, 0.5);
@@ -566,8 +561,8 @@ mod tests {
 
     #[test]
     fn missing_series_neither_fires_nor_clears() {
-        let mut store = SeriesStore::new(100, 100, 15);
-        let mut engine = AlertEngine::new(vec![above_rule(0, 0)], 16);
+        let mut store = SeriesStore::new();
+        let mut engine = AlertEngine::new(vec![above_rule(0, 0)]);
         assert!(engine.tick(0, &store).is_empty());
         assert_eq!(engine.state_of("hot"), Some(AlertState::Inactive));
         // Fire normally, then stop pushing the series: stays firing.
@@ -577,10 +572,11 @@ mod tests {
 
     #[test]
     fn transition_log_is_bounded() {
-        let mut store = SeriesStore::new(100, 100, 15);
-        let mut engine = AlertEngine::new(vec![above_rule(0, 0)], 4);
-        for t in 0..10u64 {
-            // Alternate fire / clear every tick: 20 transitions total.
+        let mut store = SeriesStore::new();
+        let mut engine = AlertEngine::new(vec![above_rule(0, 0)]);
+        let rounds = ALERT_LOG_CAPACITY as u64;
+        for t in 0..rounds {
+            // Alternate fire / clear every tick: twice the log's capacity.
             drive(&mut engine, &mut store, (2 * t) * TICK, 50.0);
             drive(&mut engine, &mut store, (2 * t + 1) * TICK, 1.0);
         }
@@ -589,7 +585,11 @@ mod tests {
             Some(Value::Arr(a)) => a,
             other => panic!("transitions array expected, got {other:?}"),
         };
-        assert_eq!(transitions.len(), 4, "log keeps only the newest entries");
-        assert_eq!(engine.stats()[0].fires, 10);
+        assert_eq!(
+            transitions.len(),
+            ALERT_LOG_CAPACITY,
+            "log keeps only the newest entries"
+        );
+        assert_eq!(engine.stats()[0].fires, rounds);
     }
 }

@@ -32,9 +32,11 @@
 //! through [`Clock`], so tests and the chaos harness drive ticks with a
 //! [`ManualClock`] and get bit-identical series and alert timelines.
 //!
-//! A disabled observatory ([`Observatory::disabled`]) costs one branch
-//! per tick, the same contract as a disabled [`MetricsRegistry`] or
-//! [`FlightRecorder`](crate::FlightRecorder).
+//! The shape of the history and of the alert windows is fixed by the
+//! constants below ([`RAW_INTERVAL_US`] through [`ALERT_LOG_CAPACITY`]);
+//! [`ObsvConfig`] only chooses the SLO, the clock, and who drives the
+//! ticks. A service without an observatory simply has none
+//! ([`BatchConfig::obsv`](crate::BatchConfig::obsv) is `None`).
 //!
 //! [`FlightKind::AlertFire`]: crate::FlightKind::AlertFire
 //! [`FlightKind::AlertClear`]: crate::FlightKind::AlertClear
@@ -158,35 +160,33 @@ impl Clock for ManualClock {
     }
 }
 
-/// Observatory configuration. `Default` gives the production shape: 2s
-/// raw ticks retained for ~5 minutes, a 30s downsampled tier retained
-/// for ~2 hours, a background sampler thread on the wall clock, and the
-/// [`default_rules`] alert set.
+/// Nominal microseconds between samples (raw-tier resolution).
+pub const RAW_INTERVAL_US: u64 = 2_000_000;
+/// Points retained per series in the raw tier (~5 minutes of ticks).
+pub const RAW_CAPACITY: usize = 150;
+/// Raw points aggregated into one downsampled point.
+pub const DS_FACTOR: usize = 15;
+/// Points retained per series in the downsampled tier (~2 hours).
+pub const DS_CAPACITY: usize = 240;
+/// Raw points in the queue-delay regression window.
+pub const SLOPE_WINDOW: usize = 15;
+/// Sample intervals in the short burn window.
+pub const BURN_SHORT_WINDOW: usize = 5;
+/// Sample intervals in the long burn window.
+pub const BURN_LONG_WINDOW: usize = 30;
+/// The SLO objective (fraction of requests that must be on time); the
+/// error budget is `1 - SLO_OBJECTIVE`.
+pub const SLO_OBJECTIVE: f64 = 0.99;
+/// Bounded alert transition log size.
+pub const ALERT_LOG_CAPACITY: usize = 64;
+
+/// Observatory configuration. `Default` gives the production shape: a
+/// 50 ms end-to-end SLO and a background sampler thread on the wall
+/// clock.
 #[derive(Debug, Clone)]
 pub struct ObsvConfig {
-    /// Nominal microseconds between samples (raw-tier resolution).
-    pub raw_interval_us: u64,
-    /// Points retained per series in the raw tier.
-    pub raw_capacity: usize,
-    /// Raw points aggregated into one downsampled point.
-    pub ds_factor: usize,
-    /// Points retained per series in the downsampled tier.
-    pub ds_capacity: usize,
-    /// Raw points in the queue-delay regression window.
-    pub slope_window: usize,
-    /// Sample intervals in the short burn window.
-    pub burn_short_window: usize,
-    /// Sample intervals in the long burn window.
-    pub burn_long_window: usize,
     /// The e2e latency SLO observations are classified against.
     pub e2e_slo_us: u64,
-    /// The SLO objective (fraction of requests that must be on time);
-    /// the error budget is `1 - slo_objective`.
-    pub slo_objective: f64,
-    /// Alert rules; `None` uses [`default_rules`].
-    pub rules: Option<Vec<AlertRule>>,
-    /// Bounded alert transition log size.
-    pub alert_log_capacity: usize,
     /// Whether the owning service should run a background sampler thread.
     /// `false` means the caller drives [`Observatory::tick`] by hand —
     /// how tests and the chaos harness stay deterministic.
@@ -198,29 +198,19 @@ pub struct ObsvConfig {
 impl Default for ObsvConfig {
     fn default() -> Self {
         ObsvConfig {
-            raw_interval_us: 2_000_000,
-            raw_capacity: 150,
-            ds_factor: 15,
-            ds_capacity: 240,
-            slope_window: 15,
-            burn_short_window: 5,
-            burn_long_window: 30,
             e2e_slo_us: 50_000,
-            slo_objective: 0.99,
-            rules: None,
-            alert_log_capacity: 64,
             sampler_thread: true,
             clock: Arc::new(WallClock::new()),
         }
     }
 }
 
-/// The default alert set: e2e-p99 SLO burn (critical), shed rate, queue
-/// delay slope, and cache hit-rate collapse. `raw_interval_us` scales the
-/// time-based pending/resolve windows; `e2e_slo_us` scales the slope
-/// thresholds (delay growing at half the SLO per second exhausts the
-/// whole budget within two ticks).
-pub fn default_rules(raw_interval_us: u64, e2e_slo_us: u64) -> Vec<AlertRule> {
+/// The alert set every observatory evaluates: e2e-p99 SLO burn
+/// (critical), shed rate, queue delay slope, and cache hit-rate collapse.
+/// [`RAW_INTERVAL_US`] scales the time-based pending/resolve windows;
+/// `e2e_slo_us` scales the slope thresholds (delay growing at half the
+/// SLO per second exhausts the whole budget within two ticks).
+pub fn default_rules(e2e_slo_us: u64) -> Vec<AlertRule> {
     vec![
         AlertRule {
             name: RULE_E2E_BURN.to_string(),
@@ -242,7 +232,7 @@ pub fn default_rules(raw_interval_us: u64, e2e_slo_us: u64) -> Vec<AlertRule> {
                 clear_below: 0.1,
             },
             pending_us: 0,
-            resolve_us: raw_interval_us,
+            resolve_us: RAW_INTERVAL_US,
             critical: false,
         },
         AlertRule {
@@ -252,8 +242,8 @@ pub fn default_rules(raw_interval_us: u64, e2e_slo_us: u64) -> Vec<AlertRule> {
                 above: e2e_slo_us as f64 / 2.0,
                 clear_below: e2e_slo_us as f64 / 10.0,
             },
-            pending_us: raw_interval_us,
-            resolve_us: raw_interval_us,
+            pending_us: RAW_INTERVAL_US,
+            resolve_us: RAW_INTERVAL_US,
             critical: false,
         },
         AlertRule {
@@ -263,8 +253,8 @@ pub fn default_rules(raw_interval_us: u64, e2e_slo_us: u64) -> Vec<AlertRule> {
                 below: 0.5,
                 clear_above: 0.8,
             },
-            pending_us: 2 * raw_interval_us,
-            resolve_us: raw_interval_us,
+            pending_us: 2 * RAW_INTERVAL_US,
+            resolve_us: RAW_INTERVAL_US,
             critical: false,
         },
     ]
@@ -289,68 +279,30 @@ struct Inner {
 /// reads histories and alert state).
 #[derive(Debug)]
 pub struct Observatory {
-    enabled: bool,
     config: ObsvConfig,
-    budget: f64,
     inner: Mutex<Inner>,
 }
 
 impl Observatory {
-    /// An enabled observatory.
+    /// An observatory evaluating [`default_rules`] for the configured SLO.
     pub fn new(config: ObsvConfig) -> Self {
-        let rules = config
-            .rules
-            .clone()
-            .unwrap_or_else(|| default_rules(config.raw_interval_us, config.e2e_slo_us));
         let inner = Inner {
-            store: SeriesStore::new(config.raw_capacity, config.ds_capacity, config.ds_factor),
-            engine: AlertEngine::new(rules, config.alert_log_capacity),
+            store: SeriesStore::new(),
+            engine: AlertEngine::new(default_rules(config.e2e_slo_us)),
             prev: None,
             burn: VecDeque::new(),
             last_tick_us: None,
             ticks: 0,
         };
-        let budget = (1.0 - config.slo_objective).max(1e-9);
         Observatory {
-            enabled: true,
             config,
-            budget,
             inner: Mutex::new(inner),
         }
     }
 
-    /// An observatory that ignores every tick — one branch per call.
-    pub fn disabled() -> Self {
-        let mut o = Observatory::new(ObsvConfig {
-            raw_capacity: 0,
-            ds_capacity: 0,
-            rules: Some(Vec::new()),
-            sampler_thread: false,
-            ..ObsvConfig::default()
-        });
-        o.enabled = false;
-        o
-    }
-
-    /// Whether ticks record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The configuration (rules resolved at construction are in the
-    /// engine, not here).
-    pub fn config(&self) -> &ObsvConfig {
-        &self.config
-    }
-
-    /// The injected time source.
-    pub fn clock(&self) -> Arc<dyn Clock> {
-        Arc::clone(&self.config.clock)
-    }
-
     /// Whether the owning service should run the background sampler.
     pub fn wants_sampler_thread(&self) -> bool {
-        self.enabled && self.config.sampler_thread
+        self.config.sampler_thread
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -361,30 +313,24 @@ impl Observatory {
     /// Returns this tick's alert transitions (the caller records them
     /// into its flight recorder).
     pub fn tick(&self, metrics: &MetricsRegistry) -> Vec<AlertTransition> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let now = self.config.clock.now_us();
-        self.lock().sample(now, metrics, &self.config, self.budget)
+        self.lock().sample(now, metrics, self.config.e2e_slo_us)
     }
 
     /// [`Observatory::tick`], but only if a full sample interval has
     /// elapsed since the last tick — what the background sampler calls in
     /// its poll loop.
     pub fn maybe_tick(&self, metrics: &MetricsRegistry) -> Vec<AlertTransition> {
-        if !self.enabled {
-            return Vec::new();
-        }
         let now = self.config.clock.now_us();
         let due = {
             let inner = self.lock();
             match inner.last_tick_us {
-                Some(t) => now.saturating_sub(t) >= self.config.raw_interval_us,
+                Some(t) => now.saturating_sub(t) >= RAW_INTERVAL_US,
                 None => true,
             }
         };
         if due {
-            self.lock().sample(now, metrics, &self.config, self.budget)
+            self.lock().sample(now, metrics, self.config.e2e_slo_us)
         } else {
             Vec::new()
         }
@@ -428,8 +374,7 @@ impl Observatory {
             Value::Obj(fields) => fields,
             _ => Vec::new(),
         };
-        doc.insert(0, ("enabled".to_string(), Value::Bool(self.enabled)));
-        doc.insert(1, ("ticks".to_string(), Value::Int(inner.ticks as i64)));
+        doc.insert(0, ("ticks".to_string(), Value::Int(inner.ticks as i64)));
         Value::Obj(doc)
     }
 
@@ -454,8 +399,7 @@ impl Inner {
         &mut self,
         now_us: u64,
         metrics: &MetricsRegistry,
-        config: &ObsvConfig,
-        budget: f64,
+        e2e_slo_us: u64,
     ) -> Vec<AlertTransition> {
         let empty = MetricsRegistry::new();
         let prev = self.prev.as_ref().unwrap_or(&empty);
@@ -463,7 +407,7 @@ impl Inner {
         // interval (its deltas cover "everything so far").
         let interval_us = match self.last_tick_us {
             Some(t) => now_us.saturating_sub(t).max(1),
-            None => config.raw_interval_us.max(1),
+            None => RAW_INTERVAL_US,
         };
         let secs = interval_us as f64 / 1_000_000.0;
 
@@ -506,11 +450,7 @@ impl Inner {
                 .unwrap_or(0.0)
         };
         self.store.push(SERIES_QUEUE_DELAY_MEAN, now_us, mean);
-        let slope = slope_per_second(
-            &self
-                .store
-                .tail(SERIES_QUEUE_DELAY_MEAN, config.slope_window),
-        );
+        let slope = slope_per_second(&self.store.tail(SERIES_QUEUE_DELAY_MEAN, SLOPE_WINDOW));
         self.store.push(SERIES_QUEUE_DELAY_SLOPE, now_us, slope);
 
         // SLO burn over short and long windows. `count_over` undercounts
@@ -519,8 +459,8 @@ impl Inner {
         // rounding alone.
         let e2e = HistogramSnapshot::of(metrics, E2E_HISTOGRAM)
             .delta(&HistogramSnapshot::of(prev, E2E_HISTOGRAM));
-        let bad = e2e.count_over(config.e2e_slo_us);
-        while self.burn.len() >= config.burn_long_window.max(1) {
+        let bad = e2e.count_over(e2e_slo_us);
+        while self.burn.len() >= BURN_LONG_WINDOW {
             self.burn.pop_front();
         }
         self.burn.push_back((bad, e2e.count()));
@@ -533,16 +473,13 @@ impl Inner {
             if total == 0 {
                 0.0
             } else {
-                (bad as f64 / total as f64) / budget
+                (bad as f64 / total as f64) / (1.0 - SLO_OBJECTIVE)
             }
         };
-        self.store.push(
-            SERIES_BURN_SHORT,
-            now_us,
-            burn_over(config.burn_short_window),
-        );
         self.store
-            .push(SERIES_BURN_LONG, now_us, burn_over(config.burn_long_window));
+            .push(SERIES_BURN_SHORT, now_us, burn_over(BURN_SHORT_WINDOW));
+        self.store
+            .push(SERIES_BURN_LONG, now_us, burn_over(BURN_LONG_WINDOW));
 
         // Cache hit rate over the interval; an idle interval reads as
         // healthy (1.0) so the collapse alert can't fire on silence.
@@ -569,32 +506,31 @@ impl Inner {
 mod tests {
     use super::*;
 
-    const TICK: u64 = 2_000_000;
+    const TICK: u64 = RAW_INTERVAL_US;
 
-    /// A manual-clock observatory with production-shaped windows.
+    /// A manual-clock observatory with a 50 ms SLO.
     fn manual_obsv() -> (Arc<ManualClock>, Observatory) {
         let clock = Arc::new(ManualClock::new());
         let obsv = Observatory::new(ObsvConfig {
             clock: clock.clone() as Arc<dyn Clock>,
             sampler_thread: false,
             e2e_slo_us: 50_000,
-            ..ObsvConfig::default()
         });
         (clock, obsv)
     }
 
     #[test]
-    fn disabled_observatory_records_nothing() {
-        let obsv = Observatory::disabled();
-        assert!(!obsv.is_enabled());
-        let mut m = MetricsRegistry::new();
-        m.add("c", 5);
-        assert!(obsv.tick(&m).is_empty());
-        assert!(obsv.maybe_tick(&m).is_empty());
+    fn fresh_observatory_has_no_history() {
+        let (_clock, obsv) = manual_obsv();
         assert_eq!(obsv.ticks(), 0);
         assert!(obsv.series_names().is_empty());
         assert!(obsv.history("rate:c", Tier::Raw).is_none());
         assert!(obsv.critical_firing().is_none());
+        assert_eq!(
+            obsv.alert_state(RULE_E2E_BURN),
+            Some(AlertState::Inactive),
+            "the default rules are live from the start"
+        );
     }
 
     #[test]
@@ -752,7 +688,6 @@ mod tests {
         clock.set(TICK);
         obsv.tick(&m);
         let doc = obsv.alerts_value();
-        assert_eq!(doc.get("enabled"), Some(&Value::Bool(true)));
         assert_eq!(doc.get("ticks").and_then(Value::as_i64), Some(1));
         assert!(doc.get("rules").is_some());
         let hist = obsv

@@ -1,9 +1,9 @@
 //! Fixed-size two-tier time-series storage for the observatory.
 //!
 //! Every sample tick pushes one [`SeriesPoint`] per series into a raw-tier
-//! ring (nominal ~2s resolution); every [`SeriesStore::ds_factor`] raw
-//! pushes, their mean lands in a downsampled ring (nominal ~30s
-//! resolution) stamped with the last contributing raw timestamp. Both
+//! ring (nominal ~2s resolution); every [`DS_FACTOR`] raw pushes, their
+//! mean lands in a downsampled ring (nominal ~30s resolution) stamped
+//! with the last contributing raw timestamp. Both
 //! rings are bounded — memory is fixed no matter how long the service
 //! runs — and eviction is strictly oldest-first, so `history` always
 //! returns a contiguous, time-ordered suffix of the series.
@@ -16,6 +16,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use serde::json::Value;
+
+use super::{DS_CAPACITY, DS_FACTOR, RAW_CAPACITY};
 
 /// One observation: a timestamp (microseconds on the observatory's
 /// injected clock) and a value.
@@ -42,7 +44,7 @@ impl SeriesPoint {
 pub enum Tier {
     /// The full-resolution ring (one point per sample tick).
     Raw,
-    /// The downsampled ring (one point per `ds_factor` ticks).
+    /// The downsampled ring (one point per [`DS_FACTOR`] ticks).
     Downsampled,
 }
 
@@ -73,9 +75,6 @@ struct Ring {
 
 impl Ring {
     fn push(&mut self, capacity: usize, point: SeriesPoint) {
-        if capacity == 0 {
-            return;
-        }
         while self.points.len() >= capacity {
             self.points.pop_front();
         }
@@ -92,44 +91,29 @@ struct PerSeries {
     pending: Vec<f64>,
 }
 
-/// The observatory's series map: two bounded rings per series name.
-#[derive(Debug)]
+/// The observatory's series map: two bounded rings per series name,
+/// [`RAW_CAPACITY`] raw and [`DS_CAPACITY`] downsampled points each.
+#[derive(Debug, Default)]
 pub struct SeriesStore {
-    raw_capacity: usize,
-    ds_capacity: usize,
-    ds_factor: usize,
     series: BTreeMap<String, PerSeries>,
 }
 
 impl SeriesStore {
-    /// An empty store. `ds_factor` raw pushes aggregate into one
-    /// downsampled point (means); a factor of 0 is treated as 1.
-    pub fn new(raw_capacity: usize, ds_capacity: usize, ds_factor: usize) -> Self {
-        SeriesStore {
-            raw_capacity,
-            ds_capacity,
-            ds_factor: ds_factor.max(1),
-            series: BTreeMap::new(),
-        }
-    }
-
-    /// Raw pushes per downsampled point.
-    pub fn ds_factor(&self) -> usize {
-        self.ds_factor
+    /// An empty store.
+    pub fn new() -> Self {
+        SeriesStore::default()
     }
 
     /// Appends one point to a series' raw ring, rolling the downsample
     /// accumulator into the downsampled ring when it fills.
     pub fn push(&mut self, name: &str, ts_us: u64, value: f64) {
         let per = self.series.entry(name.to_string()).or_default();
-        per.raw
-            .push(self.raw_capacity, SeriesPoint { ts_us, value });
+        per.raw.push(RAW_CAPACITY, SeriesPoint { ts_us, value });
         per.pending.push(value);
-        if per.pending.len() >= self.ds_factor {
+        if per.pending.len() >= DS_FACTOR {
             let mean = per.pending.iter().sum::<f64>() / per.pending.len() as f64;
             per.pending.clear();
-            per.ds
-                .push(self.ds_capacity, SeriesPoint { ts_us, value: mean });
+            per.ds.push(DS_CAPACITY, SeriesPoint { ts_us, value: mean });
         }
     }
 
@@ -209,58 +193,64 @@ mod tests {
 
     #[test]
     fn raw_ring_retains_exactly_its_capacity() {
-        let mut s = SeriesStore::new(4, 8, 2);
-        for i in 0..10u64 {
+        let mut s = SeriesStore::new();
+        let total = RAW_CAPACITY as u64 + 10;
+        for i in 0..total {
             s.push("x", i * 1_000, i as f64);
         }
         let h = s.history("x", Tier::Raw).expect("series exists");
-        assert_eq!(h.len(), 4, "raw tier holds exactly raw_capacity points");
-        // Oldest-first contiguous suffix: ticks 6..=9.
+        assert_eq!(h.len(), RAW_CAPACITY, "raw tier holds exactly RAW_CAPACITY");
+        // Oldest-first contiguous suffix: the first ten ticks are gone.
         assert_eq!(
             h.iter().map(|p| p.value).collect::<Vec<_>>(),
-            vec![6.0, 7.0, 8.0, 9.0]
+            (10..total).map(|i| i as f64).collect::<Vec<_>>()
         );
-        assert_eq!(h[0].ts_us, 6_000);
-        assert_eq!(s.latest("x"), Some(pt(9_000, 9.0)));
+        assert_eq!(h[0].ts_us, 10_000);
+        let last = total - 1;
+        assert_eq!(s.latest("x"), Some(pt(last * 1_000, last as f64)));
     }
 
     #[test]
     fn downsampled_ring_retains_exactly_its_capacity() {
-        // factor 2 → one ds point per two pushes; capacity 3 → last 3 means.
-        let mut s = SeriesStore::new(100, 3, 2);
-        for i in 0..10u64 {
+        // Three more groups than the ring holds: the first three means go.
+        let groups = DS_CAPACITY as u64 + 3;
+        let mut s = SeriesStore::new();
+        for i in 0..groups * DS_FACTOR as u64 {
             s.push("x", i, i as f64);
         }
         let h = s.history("x", Tier::Downsampled).expect("series exists");
-        assert_eq!(h.len(), 3, "ds tier holds exactly ds_capacity points");
-        // 10 pushes → 5 ds means (0.5, 2.5, 4.5, 6.5, 8.5); last 3 kept.
-        assert_eq!(
-            h.iter().map(|p| p.value).collect::<Vec<_>>(),
-            vec![4.5, 6.5, 8.5]
-        );
+        assert_eq!(h.len(), DS_CAPACITY, "ds tier holds exactly DS_CAPACITY");
+        // Group g holds g*F .. g*F+F-1, whose mean is g*F + (F-1)/2.
+        let f = DS_FACTOR as f64;
+        let mean = |g: u64| g as f64 * f + (f - 1.0) / 2.0;
+        assert_eq!(h[0].value, mean(3));
+        assert_eq!(h.last().expect("non-empty").value, mean(groups - 1));
     }
 
     #[test]
     fn downsample_points_align_to_the_last_contributing_raw_tick() {
-        let mut s = SeriesStore::new(100, 100, 3);
-        for i in 0..7u64 {
-            s.push("x", 2_000_000 * (i + 1), (i + 1) as f64);
+        let f = DS_FACTOR as u64;
+        let mut s = SeriesStore::new();
+        for i in 1..=2 * f + 1 {
+            s.push("x", 2_000_000 * i, i as f64);
         }
         let ds = s.history("x", Tier::Downsampled).expect("series exists");
-        // Two full groups of 3 (ticks 1-3 and 4-6); tick 7 still pending.
+        // Two full groups (ticks 1..=F and F+1..=2F); tick 2F+1 pending.
+        let mid = |lo: u64| (lo + lo + f - 1) as f64 / 2.0;
         assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0], pt(6_000_000, 2.0)); // mean(1,2,3) stamped at tick 3
-        assert_eq!(ds[1], pt(12_000_000, 5.0)); // mean(4,5,6) stamped at tick 6
-                                                // The pending value joins the next group, not a partial one.
-        s.push("x", 16_000_000, 8.0);
-        s.push("x", 18_000_000, 9.0);
+        assert_eq!(ds[0], pt(2_000_000 * f, mid(1)));
+        assert_eq!(ds[1], pt(2_000_000 * 2 * f, mid(f + 1)));
+        // The pending value joins the next group, not a partial one.
+        for i in 2 * f + 2..=3 * f {
+            s.push("x", 2_000_000 * i, i as f64);
+        }
         let ds = s.history("x", Tier::Downsampled).expect("series exists");
-        assert_eq!(ds[2], pt(18_000_000, 8.0)); // mean(7,8,9)
+        assert_eq!(ds[2], pt(2_000_000 * 3 * f, mid(2 * f + 1)));
     }
 
     #[test]
     fn unknown_series_has_no_history() {
-        let s = SeriesStore::new(4, 4, 2);
+        let s = SeriesStore::new();
         assert!(s.history("nope", Tier::Raw).is_none());
         assert!(s.history("nope", Tier::Downsampled).is_none());
         assert!(s.latest("nope").is_none());
@@ -270,7 +260,7 @@ mod tests {
 
     #[test]
     fn tail_returns_the_last_window_points_oldest_first() {
-        let mut s = SeriesStore::new(10, 10, 100);
+        let mut s = SeriesStore::new();
         for i in 0..6u64 {
             s.push("x", i, i as f64);
         }

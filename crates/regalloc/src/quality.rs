@@ -37,7 +37,6 @@ use ccra_machine::CycleModel;
 use serde::json::Value;
 
 use crate::accounting::{measured_overhead, weighted_overhead};
-use crate::metrics::MetricsRegistry;
 use crate::pipeline::ProgramAllocation;
 use crate::types::Overhead;
 
@@ -167,37 +166,6 @@ impl QualityReport {
         fields.push(("funcs".to_string(), Value::Arr(funcs)));
         Value::Obj(fields)
     }
-
-    /// Exports the program-level scores into a metrics registry
-    /// (counters in whole ops, gauges for cycles and drift) — what the
-    /// batch service folds into its `/metrics` export.
-    pub fn export_metrics(&self, m: &mut MetricsRegistry) {
-        m.inc("quality_reports_total");
-        m.add("quality_est_spill_ops", self.estimated.spill as u64);
-        m.add(
-            "quality_est_caller_save_ops",
-            self.estimated.caller_save as u64,
-        );
-        m.add(
-            "quality_est_callee_save_ops",
-            self.estimated.callee_save as u64,
-        );
-        m.add("quality_est_shuffle_ops", self.estimated.shuffle as u64);
-        m.gauge_set("quality_estimated_cycles", self.estimated_cycles);
-        if let Some(measured) = &self.measured {
-            m.add("quality_measured_overhead_ops", measured.total() as u64);
-        }
-        if let Some(cycles) = self.measured_cycles {
-            m.gauge_set("quality_measured_cycles", cycles);
-        }
-        if let Some(drift) = self.drift_pct() {
-            if drift.is_finite() {
-                m.gauge_set("quality_drift_pct", drift);
-            }
-        } else {
-            m.inc("quality_replay_failures_total");
-        }
-    }
 }
 
 /// The overhead operations one rewritten function executes per replay,
@@ -318,6 +286,7 @@ pub fn score_program(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
     use crate::pipeline::{
         allocate_program, allocate_program_instrumented, AllocRequest, METRIC_MEM_PEAK,
         METRIC_MEM_RECORDS,
@@ -401,18 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_deterministic_and_metrics_export() {
+    fn report_json_is_deterministic() {
         let a = scored(&AllocatorConfig::base());
         let b = scored(&AllocatorConfig::base());
         assert_eq!(a.to_json_value().to_json(), b.to_json_value().to_json());
-        let mut m = MetricsRegistry::new();
-        a.export_metrics(&mut m);
-        assert_eq!(m.counter("quality_reports_total"), 1);
-        assert!(m.gauge("quality_estimated_cycles").unwrap() > 0.0);
-        // Off is off: a disabled registry records nothing.
-        let mut off = MetricsRegistry::disabled();
-        a.export_metrics(&mut off);
-        assert_eq!(off.counter("quality_reports_total"), 0);
     }
 
     /// The working-set records land in the registry the pipeline is

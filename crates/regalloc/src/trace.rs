@@ -329,8 +329,18 @@ pub trait AllocSink {
         true
     }
 
-    /// Receives one event. Never called when [`AllocSink::enabled`] is
-    /// false.
+    /// Whether phases should be timed and emitted as [`PhaseSpan`]
+    /// events. Defaults to [`AllocSink::enabled`]; a sink that wants the
+    /// phase timings and nothing else (the parallel driver's timeline
+    /// tap) answers `true` here and `false` there, so no other event is
+    /// built for it.
+    fn times_phases(&self) -> bool {
+        self.enabled()
+    }
+
+    /// Receives one event: a [`PhaseSpan`] when
+    /// [`AllocSink::times_phases`] is true, any other event only when
+    /// [`AllocSink::enabled`] is.
     fn emit(&mut self, event: AllocEvent);
 }
 
@@ -531,19 +541,19 @@ impl<'a> TraceCtx<'a> {
         self.sink.emit(event);
     }
 
-    /// Starts a wall-clock span iff the sink or the metrics registry wants
-    /// it.
+    /// Starts a wall-clock span iff the sink times phases or the metrics
+    /// registry is enabled.
     pub fn span(&self) -> Option<Instant> {
-        (self.sink.enabled() || self.metrics_enabled()).then(Instant::now)
+        (self.sink.times_phases() || self.metrics_enabled()).then(Instant::now)
     }
 
     /// Ends a span started by [`TraceCtx::span`]: emits a [`PhaseSpan`]
-    /// through an enabled sink and observes the phase's wall-clock
-    /// histogram in an enabled registry.
+    /// through a sink that times phases and observes the phase's
+    /// wall-clock histogram in an enabled registry.
     pub fn span_end(&mut self, start: Option<Instant>, phase: Phase) {
         let Some(t) = start else { return };
         let micros = t.elapsed().as_micros() as u64;
-        if self.sink.enabled() {
+        if self.sink.times_phases() {
             self.sink.emit(AllocEvent::Phase(PhaseSpan {
                 func: self.func.to_string(),
                 round: self.round,

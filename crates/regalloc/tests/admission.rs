@@ -81,10 +81,7 @@ fn full_window_sheds_with_a_retry_hint_and_late_completions_shrink_the_limit() {
         queue_capacity: 8,
         admission: Some(AdmissionConfig {
             slo_us: 1, // everything is late: the limiter must only shrink
-            min_limit: 1,
             max_limit: 4,
-            backoff: 0.5,
-            step: 1.0,
         }),
         ..BatchConfig::default()
     });

@@ -374,74 +374,6 @@ fn failed_jobs_auto_dump_the_flight_recorder() {
     );
 }
 
-/// Quality scoring through the service: off by default (`/status` says
-/// so and no quality metrics appear); on, every successful job folds
-/// into the aggregate and the metrics export — without changing any
-/// result's bytes relative to an unscored service.
-#[test]
-fn quality_scoring_is_off_by_default_and_aggregates_when_on() {
-    // Off: the default config scores nothing.
-    let service = BatchService::start(BatchConfig {
-        workers: 1,
-        ..BatchConfig::default()
-    });
-    let handle = service.handle();
-    service.submit(light_job("plain", 7)).expect("accepted");
-    wait_until("the unscored job", || handle.statuses().len() == 1);
-    let status = handle.status_value();
-    let quality = status.get("quality").expect("quality object present");
-    assert!(matches!(
-        quality.get("enabled"),
-        Some(serde::json::Value::Bool(false))
-    ));
-    assert!(quality.get("jobs_scored").is_none(), "off reports no sums");
-    assert_eq!(
-        handle.metrics_snapshot().counter("quality_reports_total"),
-        0
-    );
-    let unscored = service.shutdown();
-
-    // On: the same submission is scored and aggregated.
-    let service = BatchService::start(BatchConfig {
-        workers: 1,
-        score_quality: true,
-        ..BatchConfig::default()
-    });
-    let handle = service.handle();
-    service.submit(light_job("plain", 7)).expect("accepted");
-    wait_until("the scored job", || handle.statuses().len() == 1);
-    let status = handle.status_value();
-    let quality = status.get("quality").expect("quality object present");
-    assert!(matches!(
-        quality.get("enabled"),
-        Some(serde::json::Value::Bool(true))
-    ));
-    assert_eq!(
-        quality
-            .get("jobs_scored")
-            .and_then(serde::json::Value::as_f64),
-        Some(1.0)
-    );
-    assert!(quality
-        .get("estimated_ops")
-        .and_then(serde::json::Value::as_f64)
-        .is_some());
-    assert_eq!(
-        handle.metrics_snapshot().counter("quality_reports_total"),
-        1
-    );
-    let scored = service.shutdown();
-
-    // Scoring never perturbs the allocation itself.
-    let bytes = |results: &[ccra_regalloc::BatchResult]| {
-        results
-            .iter()
-            .map(|r| format!("{:?}", r.allocation.as_ref().map(|a| &a.overhead)))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(bytes(&unscored), bytes(&scored));
-}
-
 #[test]
 fn per_priority_latency_quantiles_are_boundary_exact() {
     use ccra_regalloc::driver::batch::per_priority_latency;

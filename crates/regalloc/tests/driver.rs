@@ -681,6 +681,86 @@ fn degraded_jobs_dump_the_flight_recorder_as_valid_json() {
     }
 }
 
+/// A timeline wants phase timings, not the decision stream: under a live
+/// collector and a [`NoopSink`](ccra_regalloc::NoopSink) the sink a job
+/// runs against times phases but wants no events, so the pipeline builds
+/// no decision, round, spill or function records — and the timeline still
+/// carries every phase span.
+#[test]
+fn timeline_jobs_time_phases_without_building_events() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    struct Probe {
+        runs: AtomicUsize,
+        wanting_events: AtomicUsize,
+        timing_phases: AtomicUsize,
+    }
+    impl AllocJob for Probe {
+        fn run(
+            &self,
+            ctx: &JobCtx<'_>,
+            sink: &mut dyn AllocSink,
+            metrics: &mut MetricsRegistry,
+        ) -> Result<(ccra_ir::Function, ccra_regalloc::FuncAllocation), AllocError> {
+            self.runs.fetch_add(1, Ordering::Relaxed);
+            if sink.enabled() {
+                self.wanting_events.fetch_add(1, Ordering::Relaxed);
+            }
+            if sink.times_phases() {
+                self.timing_phases.fetch_add(1, Ordering::Relaxed);
+            }
+            DefaultJob.run(ctx, sink, metrics)
+        }
+    }
+
+    let program = four_func_program();
+    let freq = FrequencyInfo::profile(&program).expect("profile runs");
+    let config = AllocatorConfig::improved();
+    let req = AllocRequest {
+        program: &program,
+        freq: &freq,
+        file: RegisterFile::mips_full(),
+        config: &config,
+        cost: &CostModel::paper(),
+    };
+    let probe = Probe {
+        runs: AtomicUsize::new(0),
+        wanting_events: AtomicUsize::new(0),
+        timing_phases: AtomicUsize::new(0),
+    };
+    let (alloc, _, timeline) = ParallelDriver::new(2)
+        .allocate_program_cached(
+            &req,
+            &mut ccra_regalloc::NoopSink,
+            &mut MetricsRegistry::disabled(),
+            &probe,
+            &TimelineCollector::enabled(),
+            FlightRecorder::disabled().view(0),
+            None,
+        )
+        .expect("allocation succeeds");
+    let serial = serial_reference(&program, &freq, RegisterFile::mips_full(), &config);
+    assert_eq!(alloc, serial.0, "the timeline never changes the result");
+    assert_eq!(probe.runs.load(Ordering::Relaxed), 4);
+    assert_eq!(probe.wanting_events.load(Ordering::Relaxed), 0);
+    assert_eq!(probe.timing_phases.load(Ordering::Relaxed), 4);
+    let phases: Vec<&str> = timeline
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TimelineEvent::Span {
+                kind: SpanKind::Phase,
+                name,
+                ..
+            } => Some(name.as_str()),
+            _ => None,
+        })
+        .collect();
+    for phase in ["build", "simplify", "select", "rewrite"] {
+        assert!(phases.contains(&phase), "no {phase} span in {phases:?}");
+    }
+}
+
 /// With an enabled recorder but a *disabled* view lane check: the
 /// disabled recorder records nothing and dumps nothing, so the untraced
 /// entry points stay zero-cost.
@@ -690,7 +770,7 @@ fn disabled_recorders_stay_silent() {
 
     let rec = FlightRecorder::disabled();
     let view = rec.view(0);
-    assert!(!view.enabled());
+    assert!(!rec.is_enabled());
     view.record(0, FlightKind::JobStart, 1, 0);
     assert_eq!(rec.total_events(), 0);
 }

@@ -16,13 +16,14 @@ use ccra_analysis::FrequencyInfo;
 use ccra_ir::{display_function, Program};
 use ccra_machine::{CostModel, RegisterFile};
 use ccra_regalloc::obsv::{
-    Tier, E2E_HISTOGRAM, QUEUE_WAIT_HISTOGRAM, RULE_E2E_BURN, SERIES_QUEUE_DELAY_SLOPE,
+    Tier, BURN_SHORT_WINDOW, E2E_HISTOGRAM, QUEUE_WAIT_HISTOGRAM, RAW_INTERVAL_US, RULE_E2E_BURN,
+    SERIES_QUEUE_DELAY_SLOPE,
 };
 use ccra_regalloc::trace::NoopSink;
 use ccra_regalloc::{
-    allocate_program_instrumented, AlertCondition, AlertRule, AlertState, AllocRequest,
-    AllocatorConfig, BatchConfig, BatchJob, BatchService, BatchStatus, Clock, ManualClock,
-    MetricsRegistry, Observatory, ObsvConfig, ProgramAllocation,
+    allocate_program_instrumented, AlertState, AllocRequest, AllocatorConfig, BatchConfig,
+    BatchJob, BatchService, BatchStatus, Clock, ManualClock, MetricsRegistry, Observatory,
+    ObsvConfig, ProgramAllocation,
 };
 use ccra_workloads::{random_program, FuzzConfig};
 
@@ -55,9 +56,8 @@ fn serial_reference(program: &Program) -> ProgramAllocation {
 
 /// Sampling + alerting on never changes a single allocation byte, at any
 /// worker count. The observatory runs in its production shape — a
-/// background sampler thread on the wall clock, ticking every 5ms so it
-/// demonstrably samples *during* the run — with the default alert rules
-/// evaluated live.
+/// background sampler thread on the wall clock, whose first poll always
+/// ticks — with the default alert rules evaluated live.
 #[test]
 fn sampling_and_alerting_never_change_allocation_bytes() {
     let programs: Vec<(u64, Program)> = (0..4)
@@ -71,11 +71,7 @@ fn sampling_and_alerting_never_change_allocation_bytes() {
             workers,
             shard_workers: 2,
             queue_capacity: 8,
-            obsv: Some(ObsvConfig {
-                raw_interval_us: 5_000,
-                sampler_thread: true,
-                ..ObsvConfig::default()
-            }),
+            obsv: Some(ObsvConfig::default()),
             ..BatchConfig::default()
         });
         for (seed, program) in &programs {
@@ -117,9 +113,9 @@ fn sampling_and_alerting_never_change_allocation_bytes() {
                 );
             }
         }
-        // The observatory genuinely ran: with a 5ms interval over a
-        // multi-job batch it ticked at least once before shutdown joined
-        // the sampler (0 ticks would make this a vacuous test).
+        // The observatory genuinely ran: the sampler's first poll always
+        // ticks, before shutdown joins it (0 ticks would make this a
+        // vacuous test).
         let obsv = handle.observatory().expect("observatory configured");
         assert!(
             obsv.ticks() >= 1,
@@ -187,22 +183,10 @@ fn synthetic_rising_delay_pins_the_history_slope() {
 #[test]
 fn alert_transitions_land_in_the_flight_recorder() {
     let clock = Arc::new(ManualClock::new());
-    // An SLO-burn setup the test can steer: the default burn rule plus a
-    // tiny SLO so any synthetic e2e observation can violate it. Rules are
-    // evaluated against series derived from the service's own metrics, so
-    // the steering is real traffic: submit jobs, then tick.
-    let rule = AlertRule {
-        name: RULE_E2E_BURN.to_string(),
-        condition: AlertCondition::BurnRate {
-            short_series: "derived:e2e_burn_short".to_string(),
-            long_series: "derived:e2e_burn_long".to_string(),
-            above: 2.0,
-            clear_below: 1.0,
-        },
-        pending_us: 0,
-        resolve_us: 0,
-        critical: true,
-    };
+    // An SLO-burn setup the test can steer: the default critical burn
+    // rule under a tiny SLO, so any real e2e observation violates it.
+    // Rules are evaluated against series derived from the service's own
+    // metrics, so the steering is real traffic: submit jobs, then tick.
     let service = BatchService::start(BatchConfig {
         workers: 1,
         obsv: Some(ObsvConfig {
@@ -212,8 +196,6 @@ fn alert_transitions_land_in_the_flight_recorder() {
             // counts as over-budget, so one batch of traffic fires the
             // burn rule deterministically.
             e2e_slo_us: 1,
-            rules: Some(vec![rule]),
-            ..ObsvConfig::default()
         }),
         ..BatchConfig::default()
     });
@@ -233,7 +215,7 @@ fn alert_transitions_land_in_the_flight_recorder() {
     while handle.queue_depth() > 0 || handle.in_flight() > 0 {
         std::thread::yield_now();
     }
-    clock.set(2_000_000);
+    clock.set(RAW_INTERVAL_US);
     let fired = handle.obsv_tick();
     assert!(
         fired.iter().any(|t| t.fired && t.rule == RULE_E2E_BURN),
@@ -243,10 +225,10 @@ fn alert_transitions_land_in_the_flight_recorder() {
         handle.observatory().unwrap().alert_state(RULE_E2E_BURN),
         Some(AlertState::Firing)
     );
-    // Idle recovery: ticks with no completions read burn 0 → resolve.
-    clock.set(4_000_000);
-    for _ in 0..6 {
-        clock.advance(2_000_000);
+    // Idle recovery: ticks with no completions read burn 0 → resolve
+    // once the storm interval leaves the short window.
+    for _ in 0..=BURN_SHORT_WINDOW {
+        clock.advance(RAW_INTERVAL_US);
         handle.obsv_tick();
     }
     assert_eq!(

@@ -140,6 +140,130 @@ fn mutated_programs_never_panic_the_parser() {
     }
 }
 
+/// The parser faces untrusted input, so a seeded sweep throws three
+/// kinds of garbage at it — raw bytes (NUL and invalid UTF-8 included,
+/// decoded lossily as a caller reading a file would), token soup from the
+/// IR's own lexicon, and splices of two printed SPEC programs — and
+/// asserts that parsing, and verifying whatever parses, returns without a
+/// panic and within a second per case.
+#[test]
+fn random_bytes_token_soup_and_splices_never_panic_the_parser() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::time::{Duration, Instant};
+
+    const LEXICON: &[&str] = &[
+        "func",
+        "int",
+        "float",
+        "slots",
+        "bb",
+        "br",
+        "jump",
+        "ret",
+        "call @",
+        "main",
+        "v",
+        "fn",
+        "iconst",
+        "add",
+        "load",
+        "store",
+        "spill_load",
+        "spill_store",
+        "s",
+        "overhead spill x",
+        ":",
+        "(",
+        ")",
+        ",",
+        "{",
+        "}",
+        "?",
+        "=",
+        "!",
+        "[",
+        "]",
+        "+",
+        "//",
+        " ",
+        " ",
+        "\n",
+        "\n",
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5EED_F022);
+    let printed: Vec<String> = SpecProgram::ALL
+        .iter()
+        .map(|&prog| {
+            let p = spec_program_scaled(prog, Scale(0.05));
+            let mut text: String = p.functions().map(|(_, f)| display_function(f)).collect();
+            let main = p.main().map(|m| p.function(m).name().to_string());
+            text.push_str(&format!("main {}\n", main.unwrap_or_default()));
+            text
+        })
+        .collect();
+
+    let mut cases: Vec<(&str, String)> = Vec::new();
+    for _ in 0..300 {
+        let len = rng.gen_range(0..512);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+        cases.push(("bytes", String::from_utf8_lossy(&bytes).into_owned()));
+    }
+    for _ in 0..300 {
+        let mut text = String::new();
+        for _ in 0..rng.gen_range(0..200) {
+            match rng.gen_range(0..4) {
+                0 => {
+                    // Digits up to 2^64, one past u64::MAX.
+                    let n = match rng.gen_range(0..3) {
+                        0 => rng.gen_range(0..8u64).to_string(),
+                        1 => rng.gen::<u64>().to_string(),
+                        _ => "18446744073709551616".to_string(),
+                    };
+                    text.push_str(&n);
+                }
+                _ => text.push_str(LEXICON[rng.gen_range(0..LEXICON.len())]),
+            }
+        }
+        cases.push(("soup", text));
+    }
+    // Splices cut at a line start three times in four (a header of one
+    // program over the body of another parses, and leaves the verifier
+    // undeclared registers, missing blocks and stray call targets), at
+    // any byte otherwise.
+    let cut = |rng: &mut StdRng, text: &str| {
+        let at = rng.gen_range(0..=text.len());
+        if rng.gen_range(0..4) == 0 {
+            at
+        } else {
+            text[..at].rfind('\n').map_or(0, |n| n + 1)
+        }
+    };
+    for _ in 0..200 {
+        let a = &printed[rng.gen_range(0..printed.len())];
+        let b = &printed[rng.gen_range(0..printed.len())];
+        let text = format!("{}{}", &a[..cut(&mut rng, a)], &b[cut(&mut rng, b)..]);
+        cases.push(("splice", text));
+    }
+
+    let mut parsed = 0;
+    for (kind, text) in &cases {
+        let start = Instant::now();
+        if let Ok(p) = parse_program(text) {
+            parsed += 1;
+            let _ = p.verify();
+        }
+        if let Ok(f) = parse_function(text) {
+            let _ = ccra_ir::verify_function(&f);
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "{kind} case took {:?}:\n{text:?}",
+            start.elapsed()
+        );
+    }
+    assert!(parsed >= 20, "only {parsed} cases reached the verifier");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
