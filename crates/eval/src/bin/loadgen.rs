@@ -59,7 +59,7 @@
 //! On success `--out` writes the measured rows as plain JSON
 //! (`{"admission":[...],"alerts":[...]}`). `--obsv-dump <file>`
 //! additionally writes the observatory's `/alerts` document and the
-//! raw-tier history of every sampled series — the CI alerting job
+//! retained history of every sampled series — the CI alerting job
 //! uploads it as an artifact.
 
 use std::process::ExitCode;

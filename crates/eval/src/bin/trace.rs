@@ -13,14 +13,20 @@
 //! * `--regs` — caller-int, callee-int, caller-float, callee-float bank
 //!   sizes (default the full MIPS file).
 //! * `--out` — write the JSONL stream to a file instead of stdout.
-//! * `--check` — diff this run against a baseline JSONL; exit 1 when total
-//!   weighted overhead regresses beyond `--threshold` percent (default 5).
-//!   Wall-clock changes only warn: they are machine-dependent.
+//! * `--check` — diff this run against a baseline JSONL; exit 1 with a
+//!   `MISMATCH` line when the baseline records another workload, config
+//!   or scale, and exit 1 when total weighted overhead regresses beyond
+//!   `--threshold` percent (default 5). Wall-clock changes only warn:
+//!   they are machine-dependent.
+//!
+//! The stream's first line is a [`TraceHeader`] naming the workload,
+//! config and scale; the events follow, one per line.
 
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use ccra_analysis::FrequencyInfo;
-use ccra_eval::telemetry;
+use ccra_eval::telemetry::{self, TraceHeader};
 use ccra_machine::{CostModel, RegisterFile};
 use ccra_regalloc::{
     allocate_program_instrumented, trace::parse_jsonl, AllocRequest, AllocSink, AllocatorConfig,
@@ -31,6 +37,7 @@ use serde::Serialize;
 
 struct Args {
     program: SpecProgram,
+    config_name: String,
     config: AllocatorConfig,
     scale: Scale,
     file: RegisterFile,
@@ -68,6 +75,7 @@ fn parse_config(name: &str) -> Option<AllocatorConfig> {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut program = None;
+    let mut config_name = "improved".to_string();
     let mut config = AllocatorConfig::improved();
     let mut scale = Scale(1.0);
     let mut file = RegisterFile::mips_full();
@@ -84,7 +92,8 @@ fn parse_args() -> Args {
         };
         match argv[i].as_str() {
             "--config" => {
-                config = parse_config(take(i)).unwrap_or_else(|| usage());
+                config_name = take(i).to_string();
+                config = parse_config(&config_name).unwrap_or_else(|| usage());
                 i += 2;
             }
             "--scale" => {
@@ -138,6 +147,7 @@ fn parse_args() -> Args {
     let Some(program) = program else { usage() };
     Args {
         program,
+        config_name,
         config,
         scale,
         file,
@@ -176,16 +186,26 @@ fn main() -> ExitCode {
             }
         };
 
-    // Emit the stream.
+    // Emit the stream, header first.
+    let header = TraceHeader {
+        program: args.program.name().to_string(),
+        config: args.config_name.clone(),
+        scale: args.scale.0,
+    };
     match &args.out {
         Some(path) => {
-            let mut jsonl = match JsonlSink::create(path) {
-                Ok(s) => s,
+            let mut file = match std::fs::File::create(path) {
+                Ok(f) => BufWriter::new(f),
                 Err(e) => {
                     eprintln!("cannot create {path}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
+            if let Err(e) = writeln!(file, "{}", header.to_line()) {
+                eprintln!("cannot write {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+            let mut jsonl = JsonlSink::new(file);
             for e in &sink.events {
                 jsonl.emit(e.clone());
             }
@@ -195,6 +215,7 @@ fn main() -> ExitCode {
             }
         }
         None => {
+            println!("{}", header.to_line());
             for e in &sink.events {
                 println!("{}", e.to_json());
             }
@@ -224,7 +245,21 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let baseline = match parse_jsonl(&text) {
+        let events = match TraceHeader::split(&text) {
+            (Some(base), events) if base == header => events,
+            (Some(base), _) => {
+                eprintln!("MISMATCH: baseline {base} vs current {header}");
+                return ExitCode::FAILURE;
+            }
+            (None, _) => {
+                eprintln!(
+                    "MISMATCH: baseline {path} has no trace header naming its \
+                     workload, config and scale; current {header}"
+                );
+                return ExitCode::FAILURE;
+            }
+        };
+        let baseline = match parse_jsonl(events) {
             Ok(events) => events,
             Err(e) => {
                 eprintln!("cannot parse baseline {path}: {e}");

@@ -17,8 +17,8 @@
 //! spell of a shared machine slows both. The sweep runs with the flight recorder **enabled**, takes one
 //! admission-limiter round trip ([`ccra_regalloc::AdmissionController`])
 //! per timed run, and polls an enabled [`ccra_regalloc::Observatory`] once
-//! per timed run (the same interval-gated `maybe_tick` the background
-//! sampler calls), so this gate prices the always-on recorder, the serving
+//! per timed run (the same interval-gated `tick` the status routes
+//! call before they read), so this gate prices the always-on recorder, the serving
 //! path's admission bookkeeping, *and* the ops observatory's sampling path
 //! — not an idealized bare driver. Driver throughput is measured by the
 //! repository benchmark's `edit-1000` workload, not here.
@@ -221,14 +221,11 @@ impl TimedDriver {
             // service takes per job — the gate prices its bookkeeping.
             // Closed-loop, so the window never fills and nothing sheds.
             admission: AdmissionController::new(AdmissionConfig::default()),
-            // An enabled observatory, polled once per timed run exactly
-            // like the background sampler polls it — mostly the cheap
-            // interval-gate branch, occasionally a real sample — so the
-            // workers=1 gate prices the sampling path too.
-            obsv: Observatory::new(ObsvConfig {
-                sampler_thread: false,
-                ..ObsvConfig::default()
-            }),
+            // An enabled observatory, ticked once per timed run exactly
+            // like a status read ticks it — mostly the cheap interval-gate
+            // branch, occasionally a real sample — so the workers=1 gate
+            // prices the sampling path too.
+            obsv: Observatory::new(ObsvConfig::default()),
         }
     }
 
@@ -255,7 +252,7 @@ impl TimedDriver {
             });
         self.admission
             .on_complete(start.elapsed().as_micros() as u64);
-        self.obsv.maybe_tick(&MetricsRegistry::disabled());
+        self.obsv.tick(&MetricsRegistry::disabled());
         (start.elapsed().as_micros() as u64, out, report.summary())
     }
 }

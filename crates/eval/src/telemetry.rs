@@ -7,8 +7,76 @@
 //! given workload and allocator, so any change against a checked-in
 //! baseline is a real quality regression (or improvement), while its
 //! wall-clock field varies by machine and only ever warrants a warning.
+//! That total is only comparable between runs of one workload, config
+//! and scale, so a stream starts with a [`TraceHeader`] naming all three.
+
+use std::fmt;
 
 use ccra_regalloc::trace::{AllocEvent, ProgramSummary};
+use serde::json::Value;
+
+/// The run a `trace` stream records: the workload, the allocator config
+/// (its `--config` name) and the workload scale. The `trace` binary
+/// writes it as the stream's first line and strips it before parsing
+/// the events, and `--check` compares totals only between streams whose
+/// headers are equal.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TraceHeader {
+    /// The workload name (`eqntott`, `ear`, …).
+    pub program: String,
+    /// The `--config` name (`improved`, `base`, …).
+    pub config: String,
+    /// The workload scale.
+    pub scale: f64,
+}
+
+impl TraceHeader {
+    /// The key of the header line's single member.
+    const TAG: &'static str = "trace_header";
+
+    /// The header as one JSON line, without the newline:
+    /// `{"trace_header":{"program":..,"config":..,"scale":..}}`.
+    pub fn to_line(&self) -> String {
+        Value::Obj(vec![(
+            Self::TAG.to_string(),
+            Value::Obj(vec![
+                ("program".to_string(), Value::Str(self.program.clone())),
+                ("config".to_string(), Value::Str(self.config.clone())),
+                ("scale".to_string(), Value::Float(self.scale)),
+            ]),
+        )])
+        .to_json()
+    }
+
+    /// Splits a stream's text into its header, when the first line is
+    /// one, and the text after that line.
+    pub fn split(text: &str) -> (Option<TraceHeader>, &str) {
+        let (first, rest) = text.split_once('\n').unwrap_or((text, ""));
+        let header = serde::json::parse(first).ok().and_then(|doc| {
+            let h = doc.get(Self::TAG)?;
+            let field = |k| h.get(k).and_then(Value::as_str).map(str::to_string);
+            Some(TraceHeader {
+                program: field("program")?,
+                config: field("config")?,
+                scale: h.get("scale").and_then(Value::as_f64)?,
+            })
+        });
+        match header {
+            Some(h) => (Some(h), rest),
+            None => (None, text),
+        }
+    }
+}
+
+impl fmt::Display for TraceHeader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} [{}] @ scale {}",
+            self.program, self.config, self.scale
+        )
+    }
+}
 
 /// The outcome of diffing a current trace against a baseline.
 #[derive(Debug, Clone)]
@@ -198,6 +266,29 @@ mod tests {
         let base = [summary(1.0, 1)];
         let cur = [AllocEvent::Program(other)];
         assert!(compare(&base, &cur, 5.0).is_err());
+    }
+
+    #[test]
+    fn header_line_round_trips_and_splits_off_the_stream() {
+        let header = TraceHeader {
+            program: "eqntott".into(),
+            config: "improved".into(),
+            scale: 0.05,
+        };
+        let line = header.to_line();
+        assert_eq!(
+            line,
+            r#"{"trace_header":{"program":"eqntott","config":"improved","scale":0.05}}"#
+        );
+        let text = format!("{line}\n{{\"event\":\"x\"}}\n");
+        let (parsed, rest) = TraceHeader::split(&text);
+        assert_eq!(parsed, Some(header.clone()));
+        assert_eq!(rest, "{\"event\":\"x\"}\n");
+        assert_eq!(header.to_string(), "eqntott [improved] @ scale 0.05");
+        // A stream without a header comes back whole.
+        let bare = "{\"event\":\"x\"}\n";
+        assert_eq!(TraceHeader::split(bare), (None, bare));
+        assert_eq!(TraceHeader::split(""), (None, ""));
     }
 
     #[test]

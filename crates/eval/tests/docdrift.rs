@@ -387,3 +387,109 @@ fn member_extraction_is_exact() {
         ]
     );
 }
+
+/// Every `series=<name>` query in `text` (a `/history` request), with its
+/// line number; `<placeholder>` names are skipped.
+fn series_refs(text: &str) -> Vec<(usize, String)> {
+    let mut refs = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        for (i, _) in line.match_indices("series=") {
+            let name: String = line[i + "series=".len()..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | ':'))
+                .collect();
+            if !name.is_empty() {
+                refs.push((lineno + 1, name));
+            }
+        }
+    }
+    refs
+}
+
+#[test]
+fn series_ref_extraction_is_exact() {
+    let refs = series_refs(
+        "curl '/history?series=rate:x_total&tier=ds'\n`?series=<name>`\n\
+         /history?series=derived:a /history?series=gauge:b`",
+    );
+    assert_eq!(
+        refs,
+        vec![
+            (1, "rate:x_total".to_string()),
+            (3, "derived:a".to_string()),
+            (3, "gauge:b".to_string()),
+        ]
+    );
+}
+
+/// Every `series=<name>` the living docs query names a series a live
+/// observatory has: a service with an observatory and a memo cache runs
+/// one job and ticks once, and its series inventory is the reference.
+#[test]
+fn living_docs_query_only_existing_series() {
+    use std::sync::Arc;
+
+    use ccra_machine::RegisterFile;
+    use ccra_regalloc::{
+        AllocCache, AllocatorConfig, BatchConfig, BatchJob, BatchService, ObsvConfig,
+    };
+    use ccra_workloads::{random_program, FuzzConfig};
+
+    let service = BatchService::start(BatchConfig {
+        workers: 1,
+        cache: Some(Arc::new(AllocCache::default())),
+        obsv: Some(ObsvConfig::default()),
+        ..BatchConfig::default()
+    });
+    let program = random_program(
+        7,
+        &FuzzConfig {
+            functions: 2,
+            stmts_per_fn: 8,
+            max_loop_depth: 1,
+            max_trips: 3,
+        },
+    );
+    service
+        .submit(BatchJob::new(
+            "docdrift",
+            program,
+            RegisterFile::mips_full(),
+            AllocatorConfig::improved(),
+        ))
+        .expect("submit accepted");
+    let handle = service.handle();
+    assert_eq!(service.shutdown().len(), 1);
+    handle.obsv_tick();
+    let known: BTreeSet<String> = handle
+        .observatory()
+        .expect("observatory configured")
+        .series_names()
+        .into_iter()
+        .collect();
+    assert!(
+        known.contains("rate:batch_jobs_completed_total"),
+        "the reference inventory is missing the completion counter: {known:?}"
+    );
+
+    let root = repo_root();
+    let mut stale = Vec::new();
+    let mut total = 0;
+    for doc in LIVING_DOCS {
+        for (line, name) in series_refs(&read_doc(&root, doc)) {
+            total += 1;
+            if !known.contains(&name) {
+                stale.push(format!("{doc}:{line}: series `{name}` does not exist"));
+            }
+        }
+    }
+    assert!(
+        total > 0,
+        "no series= queries found in {LIVING_DOCS:?} — the guard is grepping the wrong files"
+    );
+    assert!(
+        stale.is_empty(),
+        "docs query series no observatory samples (known: {known:?}):\n{}",
+        stale.join("\n")
+    );
+}

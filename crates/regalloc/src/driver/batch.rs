@@ -101,11 +101,13 @@
 //! `/debug/flightrec`. Expiries and cancellations are recorded as flight
 //! events but do not trigger dumps: under overload they are policy working
 //! as intended, not anomalies.
+//! Observatory alert transitions are not flight events: the observatory's
+//! own transition log, served at `/alerts`, is their one record.
 //!
 //! [`TimelineCollector::enabled_since`]: crate::driver::timeline::TimelineCollector::enabled_since
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -124,7 +126,7 @@ use crate::driver::timeline::{
     InstantKind, Lane, SpanKind, Timeline, TimelineCollector, TimelineEvent,
 };
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::obsv::{AlertTransition, Observatory, RAW_INTERVAL_US};
+use crate::obsv::{AlertTransition, Observatory};
 use crate::pipeline::AllocRequest;
 use crate::pipeline::ProgramAllocation;
 use crate::trace::chrometrace::to_chrome_trace;
@@ -207,16 +209,14 @@ pub struct BatchConfig {
     /// while the service runs). `None` (the default) allocates everything
     /// fresh.
     pub cache: Option<Arc<crate::cache::AllocCache>>,
-    /// The ops observatory ([`crate::obsv`]): a sampler that snapshots
-    /// the service metrics into bounded time-series rings and evaluates
-    /// alert rules each tick. With
-    /// [`ObsvConfig::sampler_thread`](crate::obsv::ObsvConfig::sampler_thread)
-    /// set, the service owns a background sampler thread for the
-    /// observatory's lifetime; otherwise the caller drives
-    /// [`BatchHandle::obsv_tick`] by hand (deterministic tests, chaos
-    /// harness). `None` (the default) samples nothing. The observatory
-    /// only reads service state — enabling it never changes any result's
-    /// bytes.
+    /// The ops observatory ([`crate::obsv`]): snapshots the service
+    /// metrics into bounded time-series rings and evaluates alert rules
+    /// each tick. The service runs no sampler of its own: ticks come from
+    /// readers — the observatory's status routes and
+    /// [`BatchHandle::obsv_tick`] — and the observatory's interval gate
+    /// keeps them at most one per 2 s. `None` (the default) samples
+    /// nothing. The observatory only reads service state — enabling it
+    /// never changes any result's bytes.
     pub obsv: Option<crate::obsv::ObsvConfig>,
 }
 
@@ -685,10 +685,6 @@ struct Shared {
     cache: Option<Arc<crate::cache::AllocCache>>,
     flight: FlightRecorder,
     obsv: Option<Arc<Observatory>>,
-    /// The flight lane alert transitions record on (the last lane).
-    /// Single-writer discipline: whoever drives ticks — the background
-    /// sampler thread or the manual `obsv_tick` caller — writes it.
-    obsv_lane: u32,
     started: Instant,
 }
 
@@ -698,7 +694,7 @@ impl Shared {
     }
 
     /// The live metrics plus scrape-time gauges — the one snapshot shape
-    /// both [`BatchHandle::metrics_snapshot`] and the observatory sampler
+    /// both [`BatchHandle::metrics_snapshot`] and the observatory's ticks
     /// read.
     fn scraped_metrics(&self) -> MetricsRegistry {
         let ledger = self.ledger();
@@ -722,38 +718,6 @@ impl Shared {
             cache.publish(&mut m);
         }
         m
-    }
-
-    /// Samples the observatory unconditionally (no-op without one) and
-    /// lands this tick's alert transitions in the flight recorder.
-    fn obsv_tick(&self) -> Vec<AlertTransition> {
-        let Some(obsv) = &self.obsv else {
-            return Vec::new();
-        };
-        let transitions = obsv.tick(&self.scraped_metrics());
-        self.record_alert_transitions(&transitions);
-        transitions
-    }
-
-    /// The interval-gated variant the background sampler polls.
-    fn obsv_maybe_tick(&self) {
-        if let Some(obsv) = &self.obsv {
-            let transitions = obsv.maybe_tick(&self.scraped_metrics());
-            self.record_alert_transitions(&transitions);
-        }
-    }
-
-    fn record_alert_transitions(&self, transitions: &[AlertTransition]) {
-        for t in transitions {
-            let kind = if t.fired {
-                FlightKind::AlertFire
-            } else {
-                FlightKind::AlertClear
-            };
-            let value = t.value.abs().min(u64::MAX as f64) as u64;
-            self.flight
-                .record(self.obsv_lane, kind, t.rule_index as u64, value);
-        }
     }
 
     /// The pick-up transition of the state machine: a cancelled or
@@ -842,8 +806,6 @@ pub struct BatchService {
     shared: Arc<Shared>,
     next_id: AtomicU64,
     workers: Vec<JoinHandle<()>>,
-    sampler_stop: Arc<AtomicBool>,
-    sampler: Option<JoinHandle<()>>,
 }
 
 /// One request's trace in the making: the collector whose clock starts at
@@ -1149,16 +1111,19 @@ impl BatchHandle {
         self.shared.obsv.clone()
     }
 
-    /// Drives one observatory sample tick by hand: snapshots the live
-    /// metrics, pushes series, evaluates alert rules, and records the
-    /// returned transitions into the flight recorder. This is how
-    /// deterministic callers (tests, `loadgen --chaos`) sample — a
-    /// service whose config asked for the background sampler thread
-    /// should not also call this (the observatory lane is single-writer
-    /// by discipline). Returns the tick's transitions; a no-op without an
+    /// Offers the observatory a sample tick: snapshots the live metrics
+    /// and hands them to [`Observatory::tick`], which samples and
+    /// evaluates the alert rules only when a full interval has passed
+    /// since its last sample. The status routes call this before they
+    /// read; deterministic callers (tests, `loadgen --chaos`) call it
+    /// after advancing a manual clock. Safe from any number of threads.
+    /// Returns the tick's alert transitions; a no-op without an
     /// observatory.
     pub fn obsv_tick(&self) -> Vec<AlertTransition> {
-        self.shared.obsv_tick()
+        match &self.shared.obsv {
+            Some(obsv) => obsv.tick(&self.shared.scraped_metrics()),
+            None => Vec::new(),
+        }
     }
 
     /// The name of a critical alert rule currently firing, if any —
@@ -1390,11 +1355,8 @@ impl BatchService {
         let shard_workers = config.shard_workers.max(1);
         // Flight lanes: lane 0 is the submission path; each service worker
         // `w` owns the contiguous block starting at `1 + w * (shard + 1)`
-        // (its shard workers, then its driver/service lane). With an
-        // observatory, one extra lane at the end takes alert transitions.
-        let obsv = config.obsv.map(|c| Arc::new(Observatory::new(c)));
-        let base_lanes = 1 + service_workers * (shard_workers + 1);
-        let flight_lanes = base_lanes + usize::from(obsv.is_some());
+        // (its shard workers, then its driver/service lane).
+        let flight_lanes = 1 + service_workers * (shard_workers + 1);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             ledger: Mutex::new(Ledger::default()),
@@ -1405,8 +1367,7 @@ impl BatchService {
             chaos: config.chaos,
             cache: config.cache,
             flight: FlightRecorder::new(flight_lanes),
-            obsv,
-            obsv_lane: (flight_lanes - 1) as u32,
+            obsv: config.obsv.map(|c| Arc::new(Observatory::new(c))),
             started: Instant::now(),
         });
         let workers = (0..service_workers)
@@ -1435,34 +1396,10 @@ impl BatchService {
                 })
             })
             .collect();
-        // The background sampler: polls well under the sample interval and
-        // lets the observatory's own interval gate decide when to tick.
-        // Only spawned when the config asks for it — deterministic callers
-        // (tests, the chaos harness) drive `BatchHandle::obsv_tick` instead.
-        // The first poll runs before the stop check, so a sampler ticks at
-        // least once however soon the service shuts down.
-        let sampler_stop = Arc::new(AtomicBool::new(false));
-        let sampler = shared
-            .obsv
-            .as_ref()
-            .is_some_and(|o| o.wants_sampler_thread())
-            .then(|| {
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&sampler_stop);
-                std::thread::spawn(move || loop {
-                    shared.obsv_maybe_tick();
-                    std::thread::sleep(Duration::from_micros(RAW_INTERVAL_US / 8));
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                })
-            });
         BatchService {
             shared,
             next_id: AtomicU64::new(0),
             workers,
-            sampler_stop,
-            sampler,
         }
     }
 
@@ -1612,10 +1549,6 @@ impl BatchService {
         self.shared.queue.close();
         for handle in self.workers {
             handle.join().expect("batch workers do not panic");
-        }
-        self.sampler_stop.store(true, Ordering::Relaxed);
-        if let Some(sampler) = self.sampler {
-            sampler.join().expect("observatory sampler does not panic");
         }
         let mut ledger = self.shared.ledger();
         let mut results = std::mem::take(&mut ledger.results);

@@ -38,6 +38,10 @@
 //! the batch service attaches to degraded results and serves at
 //! `/debug/flightrec`.
 //!
+//! Only scheduling events are recorded. Observatory alert transitions
+//! have their own bounded log, served at `/alerts` with the rule name and
+//! the exact value ([`crate::obsv::AlertEngine`]).
+//!
 //! [`BatchService`]: crate::driver::BatchService
 
 use std::sync::Mutex;
@@ -96,14 +100,6 @@ pub enum FlightKind {
     /// Inserting a fresh allocation evicted resident entries
     /// (`a` = function id, `b` = entries evicted).
     CacheEvict,
-    /// An observatory alert rule transitioned to firing
-    /// (`a` = rule index in the configured rule list, `b` = the rule's
-    /// observed value at fire time, rounded to an integer).
-    AlertFire,
-    /// A firing observatory alert rule resolved (`a` = rule index,
-    /// `b` = the rule's observed value at clear time, rounded to an
-    /// integer).
-    AlertClear,
 }
 
 impl FlightKind {
@@ -127,8 +123,6 @@ impl FlightKind {
             FlightKind::CacheHit => "cache_hit",
             FlightKind::CacheMiss => "cache_miss",
             FlightKind::CacheEvict => "cache_evict",
-            FlightKind::AlertFire => "alert_fire",
-            FlightKind::AlertClear => "alert_clear",
         }
     }
 }

@@ -20,11 +20,18 @@
 //!   was never recorded;
 //! * `/debug/flightrec` — the flight recorder: live rings plus retained
 //!   automatic dumps ([`BatchHandle::flightrec_value`]);
-//! * `/history?series=<name>&tier=<raw|ds>` — one observatory series'
-//!   retained points as JSON `{ts_us, value}` pairs (`tier` defaults to
-//!   `raw`; `404` without an observatory or for an unknown series);
+//! * `/history?series=<name>` — one observatory series' retained points
+//!   as JSON `{ts_us, value}` pairs (`404` without an observatory or for
+//!   an unknown series);
 //! * `/alerts` — observatory alert rule states plus the recent
 //!   transition log (`404` without an observatory).
+//!
+//! The three observatory routes — `/healthz`, `/alerts`, `/history` —
+//! first offer the observatory a tick ([`BatchHandle::obsv_tick`]), then
+//! read. The observatory's interval gate turns that into at most one
+//! sample per 2 s however often they are polled, so whoever polls them
+//! (a health checker, a scraper) is what drives the history; nothing
+//! samples between reads.
 //!
 //! Anything else is `404`; non-`GET` methods are `405`; a request head
 //! larger than [`MAX_REQUEST_BYTES`] is `431`. Every response closes the
@@ -49,7 +56,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::driver::batch::BatchHandle;
-use crate::obsv::Tier;
 
 /// How long a connection may dribble its request before being dropped.
 const READ_TIMEOUT: Duration = Duration::from_secs(2);
@@ -192,6 +198,9 @@ fn serve_connection(stream: TcpStream, handle: &BatchHandle) -> io::Result<()> {
         Some((r, q)) => (r, q),
         None => (path, ""),
     };
+    if matches!(route, "/healthz" | "/alerts" | "/history") {
+        handle.obsv_tick();
+    }
     if route == "/history" {
         return match handle.observatory() {
             None => respond(&mut stream, 404, "text/plain", "observatory disabled\n"),
@@ -199,21 +208,7 @@ fn serve_connection(stream: TcpStream, handle: &BatchHandle) -> io::Result<()> {
                 let Some(series) = query_param(query, "series") else {
                     return respond(&mut stream, 400, "text/plain", "missing series parameter\n");
                 };
-                let tier = match query_param(query, "tier") {
-                    None => Tier::Raw,
-                    Some(t) => match Tier::parse(t) {
-                        Some(t) => t,
-                        None => {
-                            return respond(
-                                &mut stream,
-                                400,
-                                "text/plain",
-                                "tier must be raw or ds\n",
-                            )
-                        }
-                    },
-                };
-                match obsv.history_value(series, tier) {
+                match obsv.history_value(series) {
                     Some(doc) => respond(
                         &mut stream,
                         200,
@@ -362,7 +357,6 @@ mod tests {
             workers: 1,
             obsv: Some(ObsvConfig {
                 clock: clock.clone() as Arc<dyn Clock>,
-                sampler_thread: false,
                 ..ObsvConfig::default()
             }),
             ..BatchConfig::default()
@@ -371,40 +365,35 @@ mod tests {
         let server = StatusServer::bind(handle.clone(), "127.0.0.1:0").expect("bind :0");
         let addr = server.local_addr();
 
-        // Before any tick: /alerts answers, /history 404s unknown series.
+        // The first read ticks: /alerts reports it, and a second read at
+        // the same instant does not tick again.
+        let ticks = |resp: &str| {
+            let body = resp.split("\r\n\r\n").nth(1).expect("body");
+            let doc = serde::json::parse(body.trim()).expect("alerts parse");
+            doc.get("ticks").and_then(serde::json::Value::as_i64)
+        };
         let alerts = get(addr, "/alerts");
         assert!(alerts.starts_with("HTTP/1.0 200"), "{alerts}");
         assert!(alerts.contains("\"rules\""), "{alerts}");
+        assert_eq!(ticks(&alerts), Some(1), "{alerts}");
+        assert_eq!(ticks(&get(addr, "/alerts")), Some(1));
         let missing = get(addr, "/history?series=rate:nope");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
         assert!(get(addr, "/history").starts_with("HTTP/1.0 400"));
-        assert!(get(addr, "/history?series=x&tier=weekly").starts_with("HTTP/1.0 400"));
 
-        // One manual tick makes the derived series queryable at both tiers.
+        // One interval later, a /history read ticks again before it reads.
+        let path = "/history?series=derived:queue_delay_slope_us_per_s";
         clock.set(crate::obsv::RAW_INTERVAL_US);
-        handle.obsv_tick();
-        for (path, expect_points) in [
-            ("/history?series=derived:queue_delay_slope_us_per_s", true),
-            (
-                "/history?series=derived:queue_delay_slope_us_per_s&tier=raw",
-                true,
-            ),
-            // ds tier exists but has no aggregated point yet: empty array.
-            (
-                "/history?series=derived:queue_delay_slope_us_per_s&tier=ds",
-                false,
-            ),
-        ] {
-            let resp = get(addr, path);
-            assert!(resp.starts_with("HTTP/1.0 200"), "{path}: {resp}");
-            let body = resp.split("\r\n\r\n").nth(1).expect("body");
-            let doc = serde::json::parse(body.trim()).expect("history parses");
-            let points = match doc.get("points") {
-                Some(serde::json::Value::Arr(a)) => a.len(),
-                other => panic!("points array expected, got {other:?}"),
-            };
-            assert_eq!(points > 0, expect_points, "{path}");
+        let resp = get(addr, path);
+        assert!(resp.starts_with("HTTP/1.0 200"), "{resp}");
+        let body = resp.split("\r\n\r\n").nth(1).expect("body");
+        let doc = serde::json::parse(body.trim()).expect("history parses");
+        assert!(doc.get("tier").is_none(), "one tier, no tier field");
+        match doc.get("points") {
+            Some(serde::json::Value::Arr(a)) => assert_eq!(a.len(), 2, "{path}"),
+            other => panic!("points array expected, got {other:?}"),
         }
+        assert_eq!(handle.observatory().expect("configured").ticks(), 2);
 
         server.shutdown();
         drop(service.shutdown());
@@ -426,7 +415,6 @@ mod tests {
             workers: 1,
             obsv: Some(ObsvConfig {
                 e2e_slo_us: 1,
-                sampler_thread: false,
                 clock: clock.clone() as Arc<dyn Clock>,
             }),
             ..BatchConfig::default()
@@ -437,7 +425,7 @@ mod tests {
 
         assert!(
             get(addr, "/healthz").starts_with("HTTP/1.0 200"),
-            "healthy before any tick"
+            "healthy before any traffic (this read took the first tick)"
         );
         let mut b = FunctionBuilder::new("main");
         let x = b.new_vreg(RegClass::Int);

@@ -128,7 +128,7 @@ pub use metrics::{CounterSnapshot, Histogram, HistogramSnapshot, MetricsRegistry
 pub use node::{CallSite, NodeInfo, SPILL_TEMP_COST};
 pub use obsv::{
     AlertCondition, AlertRule, AlertRuleStats, AlertState, AlertTransition, Clock, ManualClock,
-    Observatory, ObsvConfig, Tier, WallClock,
+    Observatory, ObsvConfig, WallClock,
 };
 pub use pipeline::{
     allocate_function, allocate_function_instrumented, allocate_program,

@@ -23,8 +23,9 @@
 //! `min(short, long)`, which also makes clearing symmetric: as soon as
 //! either window cools below the clear threshold the rule resolves.
 //!
-//! Every transition is returned to the caller (who records it into the
-//! flight recorder) and kept in a bounded log for `/alerts`.
+//! Every transition is returned to the caller and kept in a bounded log
+//! for `/alerts` — the one record of alert history, holding the rule
+//! name, the exact value and the observatory-clock timestamp.
 
 use std::collections::VecDeque;
 
@@ -164,8 +165,6 @@ impl AlertState {
 pub struct AlertTransition {
     /// Observatory-clock microseconds of the tick.
     pub ts_us: u64,
-    /// Index of the rule in the engine's rule list.
-    pub rule_index: usize,
     /// The rule's name.
     pub rule: String,
     /// `true` = fired, `false` = resolved.
@@ -263,7 +262,7 @@ impl AlertEngine {
     /// (also appended to the bounded log).
     pub fn tick(&mut self, now_us: u64, store: &SeriesStore) -> Vec<AlertTransition> {
         let mut out = Vec::new();
-        for (i, (rule, rt)) in self.rules.iter().zip(self.runtime.iter_mut()).enumerate() {
+        for (rule, rt) in self.rules.iter().zip(self.runtime.iter_mut()) {
             let (fire_holds, clear_holds, value) = rule.condition.eval(store);
             rt.last_value = value;
             match rt.state {
@@ -292,7 +291,6 @@ impl AlertEngine {
                                 now_us.saturating_sub(rt.fired_at_us.take().unwrap_or(now_us));
                             let t = AlertTransition {
                                 ts_us: now_us,
-                                rule_index: i,
                                 rule: rule.name.clone(),
                                 fired: false,
                                 value,
@@ -320,7 +318,6 @@ impl AlertEngine {
                     }
                     let t = AlertTransition {
                         ts_us: now_us,
-                        rule_index: i,
                         rule: rule.name.clone(),
                         fired: true,
                         value,

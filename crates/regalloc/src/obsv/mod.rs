@@ -14,32 +14,42 @@
 //!   **derived** series: queue-delay mean, **queue-delay slope** (a
 //!   windowed least-squares regression, the input ROADMAP item 3's
 //!   gradient limiter wants), short/long-window SLO burn rates, and the
-//!   cache hit rate — into the two-tier bounded rings of
-//!   [`series::SeriesStore`].
+//!   cache hit rate — into the bounded rings of [`series::SeriesStore`].
 //! * The [`alerts::AlertEngine`] then evaluates declarative rules
 //!   (threshold and multiwindow burn-rate, with hysteresis and a
 //!   pending → firing → resolved state machine) against the freshest
-//!   points and returns the tick's transitions, which the batch service
-//!   records into the flight recorder as
-//!   [`FlightKind::AlertFire`]/[`FlightKind::AlertClear`] events.
+//!   points, keeps each transition in its bounded log (served at
+//!   `/alerts`) and returns the tick's transitions.
+//!
+//! **Ticks come from readers.** No thread samples in the background: the
+//! status routes that read the observatory (`/healthz`, `/alerts`,
+//! `/history`) and [`BatchHandle::obsv_tick`] each call
+//! [`Observatory::tick`], which samples only when [`RAW_INTERVAL_US`] has
+//! passed since the last sample, checking and sampling under one lock so
+//! concurrent readers at one instant make exactly one tick. A health
+//! checker or scraper polling at least every 2 s therefore produces the
+//! full 2 s history. Between reads nothing is sampled; the next tick's
+//! rates still cover the whole gap, because each rate divides by the
+//! measured interval, but the burn windows count ticks, not seconds, so
+//! after a long silence they span more wall time.
 //!
 //! **Determinism quarantine.** The observatory only ever *reads* service
 //! state; nothing it computes feeds back into allocation, scheduling, or
 //! admission. Sampling and alerting on or off, early or late, can change
 //! what `/history` and `/alerts` say — never a single byte of allocator
 //! output. (The byte-determinism oracle runs with the observatory
-//! enabled to hold that claim to measure.) Time itself is injected
-//! through [`Clock`], so tests and the chaos harness drive ticks with a
-//! [`ManualClock`] and get bit-identical series and alert timelines.
+//! ticking from a reader thread to hold that claim to measure.) Time
+//! itself is injected through [`Clock`], so tests and the chaos harness
+//! drive ticks with a [`ManualClock`] and get bit-identical series and
+//! alert timelines.
 //!
 //! The shape of the history and of the alert windows is fixed by the
 //! constants below ([`RAW_INTERVAL_US`] through [`ALERT_LOG_CAPACITY`]);
-//! [`ObsvConfig`] only chooses the SLO, the clock, and who drives the
-//! ticks. A service without an observatory simply has none
+//! [`ObsvConfig`] only chooses the SLO and the clock. A service without
+//! an observatory simply has none
 //! ([`BatchConfig::obsv`](crate::BatchConfig::obsv) is `None`).
 //!
-//! [`FlightKind::AlertFire`]: crate::FlightKind::AlertFire
-//! [`FlightKind::AlertClear`]: crate::FlightKind::AlertClear
+//! [`BatchHandle::obsv_tick`]: crate::BatchHandle::obsv_tick
 
 pub mod alerts;
 pub mod series;
@@ -57,7 +67,7 @@ use crate::metrics::{CounterSnapshot, HistogramSnapshot, MetricsRegistry};
 pub use alerts::{
     AlertCondition, AlertEngine, AlertRule, AlertRuleStats, AlertState, AlertTransition,
 };
-pub use series::{slope_per_second, SeriesPoint, SeriesStore, Tier};
+pub use series::{slope_per_second, SeriesPoint, SeriesStore};
 
 /// The histogram the SLO burn rate classifies (the batch service's
 /// end-to-end latency histogram).
@@ -160,15 +170,12 @@ impl Clock for ManualClock {
     }
 }
 
-/// Nominal microseconds between samples (raw-tier resolution).
+/// Minimum microseconds between samples: a tick sooner than this after
+/// the last one samples nothing.
 pub const RAW_INTERVAL_US: u64 = 2_000_000;
-/// Points retained per series in the raw tier (~5 minutes of ticks).
+/// Points retained per series (~5 minutes of 2 s ticks).
 pub const RAW_CAPACITY: usize = 150;
-/// Raw points aggregated into one downsampled point.
-pub const DS_FACTOR: usize = 15;
-/// Points retained per series in the downsampled tier (~2 hours).
-pub const DS_CAPACITY: usize = 240;
-/// Raw points in the queue-delay regression window.
+/// Points in the queue-delay regression window.
 pub const SLOPE_WINDOW: usize = 15;
 /// Sample intervals in the short burn window.
 pub const BURN_SHORT_WINDOW: usize = 5;
@@ -181,17 +188,13 @@ pub const SLO_OBJECTIVE: f64 = 0.99;
 pub const ALERT_LOG_CAPACITY: usize = 64;
 
 /// Observatory configuration. `Default` gives the production shape: a
-/// 50 ms end-to-end SLO and a background sampler thread on the wall
-/// clock.
+/// 50 ms end-to-end SLO on the wall clock.
 #[derive(Debug, Clone)]
 pub struct ObsvConfig {
     /// The e2e latency SLO observations are classified against.
     pub e2e_slo_us: u64,
-    /// Whether the owning service should run a background sampler thread.
-    /// `false` means the caller drives [`Observatory::tick`] by hand —
-    /// how tests and the chaos harness stay deterministic.
-    pub sampler_thread: bool,
-    /// The time source.
+    /// The time source; tests and the chaos harness pass a
+    /// [`ManualClock`] to make every tick deterministic.
     pub clock: Arc<dyn Clock>,
 }
 
@@ -199,7 +202,6 @@ impl Default for ObsvConfig {
     fn default() -> Self {
         ObsvConfig {
             e2e_slo_us: 50_000,
-            sampler_thread: true,
             clock: Arc::new(WallClock::new()),
         }
     }
@@ -275,8 +277,9 @@ struct Inner {
 }
 
 /// The sampler + alert evaluator. Shared behind an `Arc` between the
-/// batch service (which owns ticking) and the status server (which only
-/// reads histories and alert state).
+/// batch service and its readers (the status server, a manual ticker);
+/// every reader may tick it, and the interval gate keeps the history at
+/// one point per [`RAW_INTERVAL_US`].
 #[derive(Debug)]
 pub struct Observatory {
     config: ObsvConfig,
@@ -300,40 +303,26 @@ impl Observatory {
         }
     }
 
-    /// Whether the owning service should run the background sampler.
-    pub fn wants_sampler_thread(&self) -> bool {
-        self.config.sampler_thread
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Samples the registry and evaluates alerts, unconditionally.
-    /// Returns this tick's alert transitions (the caller records them
-    /// into its flight recorder).
+    /// Samples the registry and evaluates alerts if [`RAW_INTERVAL_US`]
+    /// has passed since the last sample (the first tick always samples);
+    /// otherwise does nothing. The clock read, the due check and the
+    /// sample share one lock acquisition, so callers racing at one
+    /// instant make exactly one tick. Returns this tick's alert
+    /// transitions (empty when it did not sample).
     pub fn tick(&self, metrics: &MetricsRegistry) -> Vec<AlertTransition> {
+        let mut inner = self.lock();
         let now = self.config.clock.now_us();
-        self.lock().sample(now, metrics, self.config.e2e_slo_us)
-    }
-
-    /// [`Observatory::tick`], but only if a full sample interval has
-    /// elapsed since the last tick — what the background sampler calls in
-    /// its poll loop.
-    pub fn maybe_tick(&self, metrics: &MetricsRegistry) -> Vec<AlertTransition> {
-        let now = self.config.clock.now_us();
-        let due = {
-            let inner = self.lock();
-            match inner.last_tick_us {
-                Some(t) => now.saturating_sub(t) >= RAW_INTERVAL_US,
-                None => true,
-            }
-        };
-        if due {
-            self.lock().sample(now, metrics, self.config.e2e_slo_us)
-        } else {
-            Vec::new()
+        if inner
+            .last_tick_us
+            .is_some_and(|t| now.saturating_sub(t) < RAW_INTERVAL_US)
+        {
+            return Vec::new();
         }
+        inner.sample(now, metrics, self.config.e2e_slo_us)
     }
 
     /// Ticks taken so far.
@@ -346,19 +335,18 @@ impl Observatory {
         self.lock().store.names()
     }
 
-    /// A series' retained points at a tier, oldest first; `None` for a
-    /// series that has never been sampled.
-    pub fn history(&self, series: &str, tier: Tier) -> Option<Vec<SeriesPoint>> {
-        self.lock().store.history(series, tier)
+    /// A series' retained points, oldest first; `None` for a series that
+    /// has never been sampled.
+    pub fn history(&self, series: &str) -> Option<Vec<SeriesPoint>> {
+        self.lock().store.history(series)
     }
 
     /// The `/history` response document for one series, or `None` when
     /// the series is unknown.
-    pub fn history_value(&self, series: &str, tier: Tier) -> Option<Value> {
-        let points = self.history(series, tier)?;
+    pub fn history_value(&self, series: &str) -> Option<Value> {
+        let points = self.history(series)?;
         Some(Value::Obj(vec![
             ("series".to_string(), Value::Str(series.to_string())),
-            ("tier".to_string(), Value::Str(tier.label().to_string())),
             (
                 "points".to_string(),
                 Value::Arr(points.iter().map(SeriesPoint::to_value).collect()),
@@ -403,10 +391,12 @@ impl Inner {
     ) -> Vec<AlertTransition> {
         let empty = MetricsRegistry::new();
         let prev = self.prev.as_ref().unwrap_or(&empty);
-        // Interval length for rate math; the first tick uses the nominal
-        // interval (its deltas cover "everything so far").
+        // Interval length for rate math: the measured gap since the last
+        // tick (at least the gate's interval, however long nobody read);
+        // the first tick uses the nominal interval (its deltas cover
+        // "everything so far").
         let interval_us = match self.last_tick_us {
-            Some(t) => now_us.saturating_sub(t).max(1),
+            Some(t) => now_us.saturating_sub(t),
             None => RAW_INTERVAL_US,
         };
         let secs = interval_us as f64 / 1_000_000.0;
@@ -513,7 +503,6 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let obsv = Observatory::new(ObsvConfig {
             clock: clock.clone() as Arc<dyn Clock>,
-            sampler_thread: false,
             e2e_slo_us: 50_000,
         });
         (clock, obsv)
@@ -524,7 +513,7 @@ mod tests {
         let (_clock, obsv) = manual_obsv();
         assert_eq!(obsv.ticks(), 0);
         assert!(obsv.series_names().is_empty());
-        assert!(obsv.history("rate:c", Tier::Raw).is_none());
+        assert!(obsv.history("rate:c").is_none());
         assert!(obsv.critical_firing().is_none());
         assert_eq!(
             obsv.alert_state(RULE_E2E_BURN),
@@ -550,34 +539,36 @@ mod tests {
         }
         clock.set(2 * TICK);
         obsv.tick(&m);
-        let rate = obsv.history("rate:jobs_total", Tier::Raw).unwrap();
+        let rate = obsv.history("rate:jobs_total").unwrap();
         assert_eq!(rate.len(), 2);
         assert!((rate[1].value - 3.0).abs() < 1e-9);
         assert_eq!(rate[1].ts_us, 2 * TICK);
-        let p50 = obsv.history("p50:lat", Tier::Raw).unwrap();
+        let p50 = obsv.history("p50:lat").unwrap();
         assert_eq!(p50[1].value, 1023.0, "interval p50, not cumulative");
         // A silent third interval holds the last quantile and zeroes the rate.
         clock.set(3 * TICK);
         obsv.tick(&m);
-        let rate = obsv.history("rate:jobs_total", Tier::Raw).unwrap();
+        let rate = obsv.history("rate:jobs_total").unwrap();
         assert_eq!(rate[2].value, 0.0);
-        let p50 = obsv.history("p50:lat", Tier::Raw).unwrap();
+        let p50 = obsv.history("p50:lat").unwrap();
         assert_eq!(p50[2].value, 1023.0, "held over the quiet interval");
     }
 
     #[test]
-    fn maybe_tick_gates_on_the_sample_interval() {
+    fn tick_gates_on_the_sample_interval() {
         let (clock, obsv) = manual_obsv();
         let m = MetricsRegistry::new();
         clock.set(TICK);
-        obsv.maybe_tick(&m);
+        obsv.tick(&m);
         assert_eq!(obsv.ticks(), 1);
-        // Not a full interval later: no tick.
+        // The same instant again, then not a full interval later: no tick.
+        obsv.tick(&m);
+        assert_eq!(obsv.ticks(), 1);
         clock.set(TICK + TICK / 2);
-        obsv.maybe_tick(&m);
+        obsv.tick(&m);
         assert_eq!(obsv.ticks(), 1);
         clock.set(2 * TICK);
-        obsv.maybe_tick(&m);
+        obsv.tick(&m);
         assert_eq!(obsv.ticks(), 2);
     }
 
@@ -593,9 +584,9 @@ mod tests {
             clock.set(i * TICK);
             obsv.tick(&m);
         }
-        let means = obsv.history(SERIES_QUEUE_DELAY_MEAN, Tier::Raw).unwrap();
+        let means = obsv.history(SERIES_QUEUE_DELAY_MEAN).unwrap();
         assert_eq!(means.last().unwrap().value, 200_000.0, "exact delta mean");
-        let slopes = obsv.history(SERIES_QUEUE_DELAY_SLOPE, Tier::Raw).unwrap();
+        let slopes = obsv.history(SERIES_QUEUE_DELAY_SLOPE).unwrap();
         assert!(
             (slopes.last().unwrap().value - 5_000.0).abs() < 1e-6,
             "regression recovers the synthetic 5_000 us/s trend, got {}",
@@ -675,7 +666,7 @@ mod tests {
         assert!(stats.worst_value > 2.0);
         assert!(stats.time_to_clear_us > 0);
         // The whole episode is visible in the burn series.
-        let short = obsv.history(SERIES_BURN_SHORT, Tier::Raw).unwrap();
+        let short = obsv.history(SERIES_BURN_SHORT).unwrap();
         assert!(short.iter().any(|p| p.value > 2.0));
         assert_eq!(short.last().unwrap().value, 0.0);
     }
@@ -690,13 +681,11 @@ mod tests {
         let doc = obsv.alerts_value();
         assert_eq!(doc.get("ticks").and_then(Value::as_i64), Some(1));
         assert!(doc.get("rules").is_some());
-        let hist = obsv
-            .history_value("rate:c", Tier::Raw)
-            .expect("known series");
-        assert_eq!(hist.get("tier").and_then(Value::as_str), Some("raw"));
+        let hist = obsv.history_value("rate:c").expect("known series");
+        assert_eq!(hist.get("series").and_then(Value::as_str), Some("rate:c"));
         let parsed = serde::json::parse(&hist.to_json()).expect("valid JSON");
         assert!(parsed.get("points").is_some());
-        assert!(obsv.history_value("rate:nope", Tier::Raw).is_none());
+        assert!(obsv.history_value("rate:nope").is_none());
         // The default series inventory includes every derived series.
         let names = obsv.series_names();
         for s in [

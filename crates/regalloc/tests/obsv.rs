@@ -1,22 +1,27 @@
 //! The ops observatory's crate-level contract:
 //!
 //! * **determinism quarantine** — a batch service with sampling AND
-//!   alerting enabled (background sampler ticking fast, default rules
-//!   live) produces allocations byte-identical to the serial pipeline at
-//!   workers {1, 2, 4, 8};
+//!   alerting enabled (a reader thread ticking it while the jobs run,
+//!   default rules live) produces allocations byte-identical to the
+//!   serial pipeline at workers {1, 2, 4, 8};
+//! * **one tick per interval** — readers racing to tick at one instant
+//!   make exactly one sample, and a service with an observatory shuts
+//!   down without waiting on any sampler;
 //! * **queue-delay slope** — a synthetic rising-delay workload driven
 //!   through the injected [`ManualClock`] pins the regression slope in
 //!   the exact `/history` document shape;
-//! * **flight visibility** — alert fire/clear transitions land in the
-//!   flight recorder dump alongside the scheduling events.
+//! * **one alert log** — alert fire/clear transitions land in the
+//!   `/alerts` transition log and nowhere in the flight recorder.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use ccra_analysis::FrequencyInfo;
 use ccra_ir::{display_function, Program};
 use ccra_machine::{CostModel, RegisterFile};
 use ccra_regalloc::obsv::{
-    Tier, BURN_SHORT_WINDOW, E2E_HISTOGRAM, QUEUE_WAIT_HISTOGRAM, RAW_INTERVAL_US, RULE_E2E_BURN,
+    BURN_SHORT_WINDOW, E2E_HISTOGRAM, QUEUE_WAIT_HISTOGRAM, RAW_INTERVAL_US, RULE_E2E_BURN,
     SERIES_QUEUE_DELAY_SLOPE,
 };
 use ccra_regalloc::trace::NoopSink;
@@ -55,9 +60,10 @@ fn serial_reference(program: &Program) -> ProgramAllocation {
 }
 
 /// Sampling + alerting on never changes a single allocation byte, at any
-/// worker count. The observatory runs in its production shape — a
-/// background sampler thread on the wall clock, whose first poll always
-/// ticks — with the default alert rules evaluated live.
+/// worker count. The observatory runs in its production shape — on the
+/// wall clock, ticked by a reader polling the handle while the jobs run
+/// (its first tick always samples) — with the default alert rules
+/// evaluated live.
 #[test]
 fn sampling_and_alerting_never_change_allocation_bytes() {
     let programs: Vec<(u64, Program)> = (0..4)
@@ -74,17 +80,33 @@ fn sampling_and_alerting_never_change_allocation_bytes() {
             obsv: Some(ObsvConfig::default()),
             ..BatchConfig::default()
         });
-        for (seed, program) in &programs {
-            service
-                .submit(BatchJob::new(
-                    format!("fuzz-{seed}"),
-                    program.clone(),
-                    RegisterFile::mips_full(),
-                    AllocatorConfig::improved(),
-                ))
-                .expect("submit accepted");
-        }
         let handle = service.handle();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            // The reader: ticks at least once, then keeps ticking through
+            // the handle until every job has resolved.
+            scope.spawn(|| loop {
+                handle.obsv_tick();
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                std::thread::yield_now();
+            });
+            for (seed, program) in &programs {
+                service
+                    .submit(BatchJob::new(
+                        format!("fuzz-{seed}"),
+                        program.clone(),
+                        RegisterFile::mips_full(),
+                        AllocatorConfig::improved(),
+                    ))
+                    .expect("submit accepted");
+            }
+            while handle.statuses().len() < programs.len() {
+                std::thread::yield_now();
+            }
+            stop.store(true, Ordering::SeqCst);
+        });
         let results = service.shutdown();
         assert_eq!(results.len(), programs.len());
         for (result, (seed, program)) in results.iter().zip(programs.iter()) {
@@ -113,13 +135,12 @@ fn sampling_and_alerting_never_change_allocation_bytes() {
                 );
             }
         }
-        // The observatory genuinely ran: the sampler's first poll always
-        // ticks, before shutdown joins it (0 ticks would make this a
-        // vacuous test).
+        // The observatory genuinely ran: the reader's first tick always
+        // samples (0 ticks would make this a vacuous test).
         let obsv = handle.observatory().expect("observatory configured");
         assert!(
             obsv.ticks() >= 1,
-            "workers={workers}: sampler never ticked ({} ticks)",
+            "workers={workers}: the observatory never ticked ({} ticks)",
             obsv.ticks()
         );
     }
@@ -136,7 +157,6 @@ fn synthetic_rising_delay_pins_the_history_slope() {
     let clock = Arc::new(ManualClock::new());
     let obsv = Observatory::new(ObsvConfig {
         clock: clock.clone() as Arc<dyn Clock>,
-        sampler_thread: false,
         ..ObsvConfig::default()
     });
     let mut m = MetricsRegistry::new();
@@ -146,7 +166,7 @@ fn synthetic_rising_delay_pins_the_history_slope() {
         obsv.tick(&m);
     }
     let doc = obsv
-        .history_value(SERIES_QUEUE_DELAY_SLOPE, Tier::Raw)
+        .history_value(SERIES_QUEUE_DELAY_SLOPE)
         .expect("slope series exists");
     assert_eq!(
         doc.get("series").and_then(serde::json::Value::as_str),
@@ -170,18 +190,13 @@ fn synthetic_rising_delay_pins_the_history_slope() {
         (slope - 5_000.0).abs() < 1e-6,
         "pinned synthetic slope 5_000 us/s, got {slope}"
     );
-    // The downsampled tier aggregated the first 15 ticks into one point.
-    let ds = obsv
-        .history(SERIES_QUEUE_DELAY_SLOPE, Tier::Downsampled)
-        .expect("series exists");
-    assert_eq!(ds.len(), 1);
 }
 
-/// Alert transitions are visible in the flight recorder: fire and clear
-/// events, on the observatory's dedicated lane, in the same dump as the
-/// scheduling events.
+/// Alert transitions have one record: the `/alerts` transition log holds
+/// the fire and the clear with the rule's name, and the flight recorder,
+/// which holds scheduling events only, holds neither.
 #[test]
-fn alert_transitions_land_in_the_flight_recorder() {
+fn alert_transitions_land_in_the_alerts_log_not_the_flight_recorder() {
     let clock = Arc::new(ManualClock::new());
     // An SLO-burn setup the test can steer: the default critical burn
     // rule under a tiny SLO, so any real e2e observation violates it.
@@ -191,7 +206,6 @@ fn alert_transitions_land_in_the_flight_recorder() {
         workers: 1,
         obsv: Some(ObsvConfig {
             clock: clock.clone() as Arc<dyn Clock>,
-            sampler_thread: false,
             // Tiny SLO: every real completion (micros-scale at least)
             // counts as over-budget, so one batch of traffic fires the
             // burn rule deterministically.
@@ -236,11 +250,107 @@ fn alert_transitions_land_in_the_flight_recorder() {
         Some(AlertState::Inactive),
         "burn rule resolves once the storm interval ages out"
     );
+    let alerts = handle.observatory().unwrap().alerts_value();
+    let transitions = match alerts.get("transitions") {
+        Some(serde::json::Value::Arr(a)) => a,
+        other => panic!("transitions array expected, got {other:?}"),
+    };
+    let events: Vec<(&str, &str)> = transitions
+        .iter()
+        .filter_map(|t| {
+            let field = |k| t.get(k).and_then(serde::json::Value::as_str);
+            Some((field("rule")?, field("event")?))
+        })
+        .collect();
+    assert_eq!(
+        events,
+        [(RULE_E2E_BURN, "fire"), (RULE_E2E_BURN, "clear")],
+        "{alerts:?}"
+    );
     let dump = handle.flightrec_value().to_json();
-    assert!(dump.contains("\"alert_fire\""), "fire event in flightrec");
-    assert!(dump.contains("\"alert_clear\""), "clear event in flightrec");
+    assert!(dump.contains("\"job_ok\""), "scheduling events recorded");
+    assert!(
+        !dump.contains("alert"),
+        "no alert kind in flightrec: {dump}"
+    );
     drop(service.shutdown());
     // Unused import silencer with semantic value: the burn series derives
     // from this histogram.
     assert_eq!(E2E_HISTOGRAM, "batch_e2e_micros");
+}
+
+/// Readers racing to tick at one instant make exactly one sample: eight
+/// threads released together by a barrier each call
+/// [`BatchHandle::obsv_tick`](ccra_regalloc::BatchHandle::obsv_tick) at
+/// one fixed manual-clock reading. A due check taken apart from the
+/// sample would let a second caller push a point one microsecond after
+/// the first and multiply every rate by about 2,000,000.
+#[test]
+fn concurrent_ticks_at_one_instant_sample_once() {
+    const READERS: usize = 8;
+    let clock = Arc::new(ManualClock::at(RAW_INTERVAL_US));
+    let service = BatchService::start(BatchConfig {
+        workers: 1,
+        obsv: Some(ObsvConfig {
+            clock: clock.clone() as Arc<dyn Clock>,
+            ..ObsvConfig::default()
+        }),
+        ..BatchConfig::default()
+    });
+    // Some real traffic first, so a sample has counters to difference.
+    let program = fuzz_program(91, 3);
+    for i in 0..2 {
+        service
+            .submit(BatchJob::new(
+                format!("job-{i}"),
+                program.clone(),
+                RegisterFile::mips_full(),
+                AllocatorConfig::improved(),
+            ))
+            .expect("submit accepted");
+    }
+    let handle = service.handle();
+    while handle.statuses().len() < 2 {
+        std::thread::yield_now();
+    }
+    let barrier = Barrier::new(READERS);
+    std::thread::scope(|scope| {
+        for _ in 0..READERS {
+            scope.spawn(|| {
+                barrier.wait();
+                handle.obsv_tick();
+            });
+        }
+    });
+    let obsv = handle.observatory().expect("observatory configured");
+    assert_eq!(obsv.ticks(), 1, "{READERS} readers at one instant");
+    let rates: Vec<String> = obsv
+        .series_names()
+        .into_iter()
+        .filter(|n| n.starts_with("rate:"))
+        .collect();
+    assert!(!rates.is_empty(), "counters were sampled");
+    for name in rates {
+        let points = obsv.history(&name).expect("sampled series");
+        assert_eq!(points.len(), 1, "{name}: {points:?}");
+    }
+    drop(service.shutdown());
+}
+
+/// A service with an observatory shuts down as fast as one without: no
+/// sampler thread sleeps between polls for `shutdown` to wait out.
+#[test]
+fn shutdown_with_an_observatory_does_not_wait_for_a_sampler() {
+    let service = BatchService::start(BatchConfig {
+        obsv: Some(ObsvConfig::default()),
+        ..BatchConfig::default()
+    });
+    let started = Instant::now();
+    let results = service.shutdown();
+    let took = started.elapsed();
+    assert!(results.is_empty());
+    assert!(
+        took < Duration::from_millis(150),
+        "shutdown took {took:?} with an idle observatory"
+    );
 }

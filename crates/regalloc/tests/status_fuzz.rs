@@ -97,8 +97,8 @@ fn valid_head(rng: &mut StdRng) -> Vec<u8> {
         "/metrics".to_string(),
         "/alerts".to_string(),
         "/debug/flightrec".to_string(),
-        "/history?series=batch_queue_depth&tier=raw".to_string(),
-        "/history?series=derived:queue_delay_slope_us_per_s&tier=ds".to_string(),
+        "/history?series=gauge:batch_queue_depth".to_string(),
+        "/history?series=derived:queue_delay_slope_us_per_s".to_string(),
         format!("/trace/{}", rng.gen_range(0u64..4)),
         format!("/trace/req-{}", rng.gen_range(0u64..4)),
     ];
@@ -171,10 +171,7 @@ fn fuzzed_requests_each_get_one_known_status_line() {
     let service = BatchService::start(BatchConfig {
         workers: 1,
         queue_capacity: 8,
-        obsv: Some(ObsvConfig {
-            sampler_thread: false,
-            ..ObsvConfig::default()
-        }),
+        obsv: Some(ObsvConfig::default()),
         ..BatchConfig::default()
     });
     let handle = service.handle();
