@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! trace <workload> [--config <name>] [--scale <f64>] [--regs Ri Ei Rf Ef]
-//!       [--out <file.jsonl>] [--check <baseline.jsonl>] [--threshold <pct>]
+//!       [--out <file.jsonl>]
 //! ```
 //!
 //! * `<workload>` — a SPEC92-like program name (`eqntott`, `ear`, …).
@@ -13,45 +13,37 @@
 //! * `--regs` — caller-int, callee-int, caller-float, callee-float bank
 //!   sizes (default the full MIPS file).
 //! * `--out` — write the JSONL stream to a file instead of stdout.
-//! * `--check` — diff this run against a baseline JSONL; exit 1 with a
-//!   `MISMATCH` line when the baseline records another workload, config
-//!   or scale, and exit 1 when total weighted overhead regresses beyond
-//!   `--threshold` percent (default 5). Wall-clock changes only warn:
-//!   they are machine-dependent.
 //!
-//! The stream's first line is a [`TraceHeader`] naming the workload,
-//! config and scale; the events follow, one per line.
+//! The stream is plain [`ccra_regalloc::AllocEvent`] JSONL, one event
+//! per line, readable back with [`ccra_regalloc::trace::parse_jsonl`]; a
+//! one-line summary and the per-phase totals go to stderr.
 
-use std::io::{BufWriter, Write};
+use std::io::BufWriter;
 use std::process::ExitCode;
 
 use ccra_analysis::FrequencyInfo;
-use ccra_eval::telemetry::{self, TraceHeader};
+use ccra_eval::telemetry;
 use ccra_machine::{CostModel, RegisterFile};
 use ccra_regalloc::{
-    allocate_program_instrumented, trace::parse_jsonl, AllocRequest, AllocSink, AllocatorConfig,
-    JsonlSink, MetricsRegistry, PriorityOrdering, RecordingSink,
+    allocate_program_instrumented, AllocRequest, AllocSink, AllocatorConfig, JsonlSink,
+    MetricsRegistry, PriorityOrdering, RecordingSink,
 };
 use ccra_workloads::{spec_program_scaled, Scale, SpecProgram};
 use serde::Serialize;
 
 struct Args {
     program: SpecProgram,
-    config_name: String,
     config: AllocatorConfig,
     scale: Scale,
     file: RegisterFile,
     out: Option<String>,
-    check: Option<String>,
-    threshold: f64,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: trace <workload> [--config base|improved|optimistic|improved-optimistic|\
          priority|cbh] [--scale <f64>] [--regs <caller-int> <callee-int> \
-         <caller-float> <callee-float>] [--out <file>] \
-         [--check <baseline.jsonl>] [--threshold <pct>]"
+         <caller-float> <callee-float>] [--out <file>]"
     );
     eprintln!(
         "workloads: {}",
@@ -75,13 +67,10 @@ fn parse_config(name: &str) -> Option<AllocatorConfig> {
 fn parse_args() -> Args {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut program = None;
-    let mut config_name = "improved".to_string();
     let mut config = AllocatorConfig::improved();
     let mut scale = Scale(1.0);
     let mut file = RegisterFile::mips_full();
     let mut out = None;
-    let mut check = None;
-    let mut threshold = 5.0;
 
     let mut i = 0;
     while i < argv.len() {
@@ -92,8 +81,7 @@ fn parse_args() -> Args {
         };
         match argv[i].as_str() {
             "--config" => {
-                config_name = take(i).to_string();
-                config = parse_config(&config_name).unwrap_or_else(|| usage());
+                config = parse_config(take(i)).unwrap_or_else(|| usage());
                 i += 2;
             }
             "--scale" => {
@@ -124,14 +112,6 @@ fn parse_args() -> Args {
                 out = Some(take(i).to_string());
                 i += 2;
             }
-            "--check" => {
-                check = Some(take(i).to_string());
-                i += 2;
-            }
-            "--threshold" => {
-                threshold = take(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
             "--help" | "-h" => usage(),
             name if program.is_none() && !name.starts_with('-') => {
                 program = SpecProgram::ALL.into_iter().find(|p| p.name() == name);
@@ -147,13 +127,10 @@ fn parse_args() -> Args {
     let Some(program) = program else { usage() };
     Args {
         program,
-        config_name,
         config,
         scale,
         file,
         out,
-        check,
-        threshold,
     }
 }
 
@@ -186,25 +163,15 @@ fn main() -> ExitCode {
             }
         };
 
-    // Emit the stream, header first.
-    let header = TraceHeader {
-        program: args.program.name().to_string(),
-        config: args.config_name.clone(),
-        scale: args.scale.0,
-    };
     match &args.out {
         Some(path) => {
-            let mut file = match std::fs::File::create(path) {
+            let file = match std::fs::File::create(path) {
                 Ok(f) => BufWriter::new(f),
                 Err(e) => {
                     eprintln!("cannot create {path}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
-            if let Err(e) = writeln!(file, "{}", header.to_line()) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
             let mut jsonl = JsonlSink::new(file);
             for e in &sink.events {
                 jsonl.emit(e.clone());
@@ -215,7 +182,6 @@ fn main() -> ExitCode {
             }
         }
         None => {
-            println!("{}", header.to_line());
             for e in &sink.events {
                 println!("{}", e.to_json());
             }
@@ -236,52 +202,5 @@ fn main() -> ExitCode {
         eprintln!("  {phase:<13} {micros:>8} us");
     }
 
-    // Baseline comparison.
-    if let Some(path) = &args.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let events = match TraceHeader::split(&text) {
-            (Some(base), events) if base == header => events,
-            (Some(base), _) => {
-                eprintln!("MISMATCH: baseline {base} vs current {header}");
-                return ExitCode::FAILURE;
-            }
-            (None, _) => {
-                eprintln!(
-                    "MISMATCH: baseline {path} has no trace header naming its \
-                     workload, config and scale; current {header}"
-                );
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match parse_jsonl(events) {
-            Ok(events) => events,
-            Err(e) => {
-                eprintln!("cannot parse baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match telemetry::compare(&baseline, &sink.events, args.threshold) {
-            Ok(c) => {
-                eprintln!("{}", c.verdict(args.threshold));
-                eprintln!(
-                    "  wall-clock {} us vs baseline {} us ({:+.1}%, informational)",
-                    c.current_micros, c.baseline_micros, c.time_delta_pct
-                );
-                if c.regressed {
-                    return ExitCode::FAILURE;
-                }
-            }
-            Err(e) => {
-                eprintln!("comparison failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -9,14 +9,13 @@
 //!
 //! Several binaries are not experiments. `trace` runs one allocation with
 //! telemetry enabled and emits the raw event stream as JSON Lines (see
-//! [`telemetry`]), optionally diffing the run against a checked-in
-//! baseline and failing on overhead regressions. `par` sweeps the
+//! [`telemetry`]). `par` sweeps the
 //! parallel allocation driver over worker counts, verifies
 //! parallel-equals-serial on every workload, and gates the `workers = 1`
 //! overhead (see [`parsweep`]). `loadgen` drives a live batch service
 //! open-loop and reports the queue-wait / service / end-to-end latency
-//! quantiles (see [`loadgen`]). `quality` scores allocation quality
-//! against a committed baseline (see [`quality`]), `incr` sweeps the memo
+//! quantiles (see [`loadgen`]). `quality` scores allocation quality on a
+//! fixed matrix (see [`quality`]), `incr` sweeps the memo
 //! cache (see [`incr`]), and `explain` renders per-function reports
 //! saying why each web got its storage class and final location (see
 //! [`explain`]). Allocator speed is measured by the repository benchmark
@@ -69,8 +68,8 @@ pub use loadgen::{
 };
 pub use parsweep::{run_par_sweep, workers1_gate, ParEntry, SWEEP_WORKER_COUNTS};
 pub use quality::{
-    compare_quality, degraded_program_allocation, quality_configs, run_quality_matrix,
-    QualityComparison, QualityDelta, QualityEntry, QualityFile, QUALITY_WORKLOADS,
+    degraded_program_allocation, quality_configs, run_quality_matrix, QualityEntry, QualityFile,
+    QUALITY_WORKLOADS,
 };
 pub use table::{ratio, CellParseError, Table};
 pub use traffic::TrafficShape;

@@ -252,7 +252,7 @@ impl TimedDriver {
             });
         self.admission
             .on_complete(start.elapsed().as_micros() as u64);
-        self.obsv.tick(&MetricsRegistry::disabled());
+        self.obsv.tick(MetricsRegistry::disabled);
         (start.elapsed().as_micros() as u64, out, report.summary())
     }
 }

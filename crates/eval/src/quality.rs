@@ -1,7 +1,8 @@
 //! Allocation-quality scores: the fixed workload × allocator ×
-//! register-file matrix the `quality` binary scores, the plain
-//! [`QualityFile`] it writes and checks, and the comparison behind its
-//! `--check` regression gate.
+//! register-file matrix the `quality` binary scores and the plain
+//! [`QualityFile`] it writes. The tier-1 test
+//! `crates/eval/tests/work_counts.rs` pins the scale-1.0 file exactly
+//! against `crates/eval/baselines/quality_scale_1.json`.
 //!
 //! Where the repository benchmark asks "how fast does the allocator run",
 //! this matrix asks "how good is the code it produces" — and whether
@@ -11,35 +12,23 @@
 //! (frequency-weighted estimate priced by the DECstation
 //! [`CycleModel`], plus an interpreter replay measuring the overhead ops
 //! the program really executes), and records both views side by side so
-//! estimate-vs-measured drift is a first-class, regression-gated number.
+//! estimate-vs-measured drift is a first-class, exactly pinned number.
 //!
 //! The matrix deliberately scores under **static** frequency estimates
 //! ([`FrequencyInfo::estimate`]): a dynamic profile would make the
 //! estimate tautologically equal to the measurement. The drift column is
 //! only informative when the estimate can be wrong.
-//!
-//! Memory accounting rides along: each cell allocates into an enabled
-//! [`MetricsRegistry`] and reads back the pipeline's working-set records
-//! ([`ccra_regalloc::METRIC_MEM_PEAK`] and
-//! [`ccra_regalloc::METRIC_MEM_RECORDS`]), so the scores also answer
-//! "what did the allocation cost in working-set bytes".
-//!
-//! The `--degrade <workload>` escape hatch replaces the configured
-//! allocator with the spill-everything fallback on one workload — an
-//! intentional quality regression used to prove the `--check` gate
-//! actually fires (see the CI `quality` job).
 
 use ccra_analysis::FrequencyInfo;
 use ccra_ir::Program;
 use ccra_machine::{CostModel, CycleModel, RegisterFile};
 use ccra_regalloc::driver::{ChaosJob, DefaultJob, Fault};
 use ccra_regalloc::{
-    allocate_program_instrumented, score_program, AllocError, AllocRequest, AllocatorConfig,
-    FlightRecorder, MetricsRegistry, NoopSink, ParallelDriver, ProgramAllocation, QualityReport,
-    TimelineCollector, METRIC_MEM_PEAK, METRIC_MEM_RECORDS,
+    allocate_program, score_program, AllocError, AllocRequest, AllocatorConfig, FlightRecorder,
+    MetricsRegistry, NoopSink, ParallelDriver, ProgramAllocation, QualityReport, TimelineCollector,
 };
 use ccra_workloads::{spec_program_scaled, Scale, SpecProgram};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The workloads of the fixed quality matrix: the paper's two running
 /// examples (eqntott, ear) plus the deep call tree of li — all
@@ -62,8 +51,8 @@ pub fn matrix_files() -> Vec<(String, RegisterFile)> {
 /// ([`ccra_regalloc::quality`]). The estimated numbers are deterministic
 /// — a pure function of workload, allocator, and register file — so any
 /// change between runs is an allocation-quality change, which is exactly
-/// what the `quality --check` gate trips on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// what the tier-1 pin trips on.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QualityEntry {
     /// The workload name.
     pub workload: String,
@@ -96,17 +85,11 @@ pub struct QualityEntry {
     pub spilled_ranges: u64,
     /// Functions that took the degraded spill-everything fallback.
     pub degraded_funcs: u64,
-    /// Peak working-set estimate, bytes
-    /// ([`ccra_regalloc::METRIC_MEM_PEAK`]).
-    pub mem_peak_bytes: u64,
-    /// Working-set estimates recorded
-    /// ([`ccra_regalloc::METRIC_MEM_RECORDS`]).
-    pub mem_allocs: u64,
 }
 
-/// What `quality --out` writes and `quality --check` reads: the scale the
-/// matrix ran at and its cells, as plain JSON.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What `quality --out` writes: the scale the matrix ran at and its
+/// cells, as plain JSON.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QualityFile {
     /// The workload scale the matrix ran at.
     pub scale: f64,
@@ -126,8 +109,8 @@ pub fn quality_configs() -> Vec<AllocatorConfig> {
 }
 
 /// Allocates every function of `program` through the spill-everything
-/// fallback, bypassing the configured allocator — the injected quality
-/// regression behind `--degrade`. An injected error on every function
+/// fallback, bypassing the configured allocator — the degraded path
+/// `fuzzcheck` checks on every case. An injected error on every function
 /// sends each one down the driver's degraded path, which records into
 /// `metrics` like any allocation.
 ///
@@ -168,7 +151,6 @@ fn entry_of(
     config_label: &str,
     regs: &str,
     report: &QualityReport,
-    metrics: &MetricsRegistry,
 ) -> QualityEntry {
     QualityEntry {
         workload: workload.to_string(),
@@ -185,15 +167,11 @@ fn entry_of(
         replay_ok: report.replay_error.is_none(),
         spilled_ranges: report.funcs.iter().map(|f| f.spilled_ranges as u64).sum(),
         degraded_funcs: report.degraded_funcs() as u64,
-        mem_peak_bytes: metrics.gauge(METRIC_MEM_PEAK).unwrap_or(0.0) as u64,
-        mem_allocs: metrics.counter(METRIC_MEM_RECORDS),
     }
 }
 
 /// Runs the fixed quality matrix at `scale`, invoking `progress` after
-/// each cell. `degrade` names a workload whose cells take the
-/// spill-everything fallback instead of the configured allocator (the
-/// gate-proving regression; `None` scores everything honestly).
+/// each cell.
 ///
 /// Frequency info is always the static estimate (see the module docs),
 /// the cost model is the paper's, and cycles are priced by
@@ -207,10 +185,8 @@ fn entry_of(
 /// matrix files).
 pub fn run_quality_matrix(
     scale: Scale,
-    degrade: Option<&str>,
     mut progress: impl FnMut(&QualityEntry),
 ) -> Result<Vec<QualityEntry>, AllocError> {
-    let cost = CostModel::paper();
     let cycles = CycleModel::decstation();
     let mut entries = Vec::new();
     for workload in QUALITY_WORKLOADS {
@@ -218,27 +194,9 @@ pub fn run_quality_matrix(
         let freq = FrequencyInfo::estimate(&program);
         for config in quality_configs() {
             for (regs_label, file) in matrix_files() {
-                let mut metrics = MetricsRegistry::new();
-                let alloc = if degrade == Some(workload.name()) {
-                    degraded_program_allocation(&program, &freq, &file, &cost, &mut metrics)?
-                } else {
-                    let req = AllocRequest {
-                        program: &program,
-                        freq: &freq,
-                        file,
-                        config: &config,
-                        cost: &cost,
-                    };
-                    allocate_program_instrumented(&req, &mut NoopSink, &mut metrics)?
-                };
+                let alloc = allocate_program(&program, &freq, file, &config)?;
                 let report = score_program(&alloc, &freq, &config.label(), &cycles);
-                let entry = entry_of(
-                    workload.name(),
-                    &config.label(),
-                    &regs_label,
-                    &report,
-                    &metrics,
-                );
+                let entry = entry_of(workload.name(), &config.label(), &regs_label, &report);
                 progress(&entry);
                 entries.push(entry);
             }
@@ -247,193 +205,19 @@ pub fn run_quality_matrix(
     Ok(entries)
 }
 
-/// One cell's estimated-cycle delta between two quality sections.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityDelta {
-    /// `workload [config] regs`.
-    pub key: String,
-    /// Baseline estimated execution cycles.
-    pub baseline_cycles: f64,
-    /// Current estimated execution cycles.
-    pub current_cycles: f64,
-    /// Percent change (positive = current costs more).
-    pub delta_pct: f64,
-    /// Whether this cell alone exceeds the regression threshold.
-    pub exceeded: bool,
-}
-
-/// The verdict of comparing two quality sections.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityComparison {
-    /// Per-cell deltas, in baseline order.
-    pub per_entry: Vec<QualityDelta>,
-    /// Baseline cells absent from the current run.
-    pub missing: Vec<String>,
-    /// Sum of baseline estimated cycles.
-    pub baseline_cycles: f64,
-    /// Sum of current estimated cycles (over cells present in both).
-    pub current_cycles: f64,
-    /// Aggregate percent change.
-    pub delta_pct: f64,
-    /// True when any cell (or the aggregate) got more than `threshold`
-    /// percent costlier, or a baseline cell went missing.
-    pub regressed: bool,
-}
-
-fn cell_key(e: &QualityEntry) -> String {
-    format!("{} [{}] {}", e.workload, e.config, e.regs)
-}
-
-/// Compares two runs' quality cells: exceeding `threshold` percent more
-/// estimated cycles — per cell or in aggregate — is a regression, as is
-/// a baseline cell missing from the current run. Cheaper is never a
-/// regression (the gate is one-sided).
-///
-/// # Errors
-///
-/// Returns an error when the baseline has no quality cells to compare
-/// against (regenerate it with the `quality` binary).
-pub fn compare_quality(
-    baseline: &[QualityEntry],
-    current: &[QualityEntry],
-    threshold: f64,
-) -> Result<QualityComparison, String> {
-    if baseline.is_empty() {
-        return Err(
-            "baseline has no quality cells; regenerate it with the quality binary".to_string(),
-        );
-    }
-    let mut per_entry = Vec::new();
-    let mut missing = Vec::new();
-    let mut baseline_cycles = 0.0;
-    let mut current_cycles = 0.0;
-    let mut any_exceeded = false;
-    for b in baseline {
-        let key = cell_key(b);
-        match current.iter().find(|c| cell_key(c) == key) {
-            Some(c) => {
-                let delta_pct = if b.estimated_cycles == 0.0 {
-                    if c.estimated_cycles == 0.0 {
-                        0.0
-                    } else {
-                        f64::INFINITY
-                    }
-                } else {
-                    100.0 * (c.estimated_cycles - b.estimated_cycles) / b.estimated_cycles
-                };
-                let exceeded = delta_pct > threshold;
-                any_exceeded |= exceeded;
-                baseline_cycles += b.estimated_cycles;
-                current_cycles += c.estimated_cycles;
-                per_entry.push(QualityDelta {
-                    key,
-                    baseline_cycles: b.estimated_cycles,
-                    current_cycles: c.estimated_cycles,
-                    delta_pct,
-                    exceeded,
-                });
-            }
-            None => missing.push(key),
-        }
-    }
-    let delta_pct = if baseline_cycles == 0.0 {
-        0.0
-    } else {
-        100.0 * (current_cycles - baseline_cycles) / baseline_cycles
-    };
-    let regressed = any_exceeded || delta_pct > threshold || !missing.is_empty();
-    Ok(QualityComparison {
-        per_entry,
-        missing,
-        baseline_cycles,
-        current_cycles,
-        delta_pct,
-        regressed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cell(workload: &str, config: &str, cycles: f64) -> QualityEntry {
-        QualityEntry {
-            workload: workload.to_string(),
-            config: config.to_string(),
-            regs: "mips".to_string(),
-            estimated_cycles: cycles,
-            est_spill_ops: 0.0,
-            est_caller_save_ops: 0.0,
-            est_callee_save_ops: 0.0,
-            est_shuffle_ops: 0.0,
-            measured_overhead_ops: 0.0,
-            measured_cycles: 0.0,
-            drift_pct: 0.0,
-            replay_ok: true,
-            spilled_ranges: 0,
-            degraded_funcs: 0,
-            mem_peak_bytes: 0,
-            mem_allocs: 0,
-        }
-    }
-
     #[test]
-    fn matrix_scores_every_cell_and_degrade_inflates_one_workload() {
-        let scale = Scale(0.05);
-        let honest = run_quality_matrix(scale, None, |_| {}).unwrap();
+    fn matrix_scores_every_cell() {
+        let entries = run_quality_matrix(Scale(0.05), |_| {}).unwrap();
         let cells = QUALITY_WORKLOADS.len() * quality_configs().len() * matrix_files().len();
-        assert_eq!(honest.len(), cells);
-        // Replay succeeds on every honest cell, and the static estimate
-        // drifts from the measurement somewhere (that is the point of
-        // scoring under estimates).
-        assert!(honest.iter().all(|e| e.replay_ok));
-        assert!(honest.iter().any(|e| e.drift_pct != 0.0));
-        // Every allocation recorded its working set.
-        assert!(honest
-            .iter()
-            .all(|e| e.mem_peak_bytes > 0 && e.mem_allocs > 0));
-
-        let degraded =
-            run_quality_matrix(scale, Some(SpecProgram::Eqntott.name()), |_| {}).unwrap();
-        // The degraded workload's cells cost strictly more than their
-        // honest counterparts; other workloads are untouched.
-        for (h, d) in honest.iter().zip(&degraded) {
-            assert_eq!(cell_key(h), cell_key(d));
-            if h.workload == SpecProgram::Eqntott.name() {
-                assert!(d.estimated_cycles > h.estimated_cycles, "{}", cell_key(h));
-                assert!(d.spilled_ranges > h.spilled_ranges);
-            } else {
-                assert_eq!(h, d, "{}", cell_key(h));
-            }
-        }
-    }
-
-    #[test]
-    fn compare_flags_per_cell_and_aggregate_regressions() {
-        let baseline = vec![cell("a", "base", 1000.0), cell("b", "base", 1000.0)];
-
-        // Within threshold: not a regression.
-        let ok = vec![cell("a", "base", 1040.0), cell("b", "base", 990.0)];
-        let cmp = compare_quality(&baseline, &ok, 10.0).unwrap();
-        assert!(!cmp.regressed);
-        assert_eq!(cmp.per_entry.len(), 2);
-
-        // One cell over threshold regresses even when the aggregate is
-        // within bounds.
-        let one_bad = vec![cell("a", "base", 1200.0), cell("b", "base", 900.0)];
-        let cmp = compare_quality(&baseline, &one_bad, 10.0).unwrap();
-        assert!(cmp.regressed);
-        assert!(cmp.per_entry.iter().any(|d| d.exceeded));
-        assert!(cmp.delta_pct < 10.0);
-
-        // Cheaper is never a regression.
-        let better = vec![cell("a", "base", 500.0), cell("b", "base", 500.0)];
-        assert!(!compare_quality(&baseline, &better, 10.0).unwrap().regressed);
-
-        // A missing cell is a regression; an empty baseline is an error.
-        let cmp = compare_quality(&baseline, &[cell("a", "base", 1000.0)], 10.0).unwrap();
-        assert!(cmp.regressed);
-        assert_eq!(cmp.missing, vec!["b [base] mips".to_string()]);
-        assert!(compare_quality(&[], &ok, 10.0).is_err());
+        assert_eq!(entries.len(), cells);
+        // Replay succeeds on every cell, and the static estimate drifts
+        // from the measurement somewhere (that is the point of scoring
+        // under estimates).
+        assert!(entries.iter().all(|e| e.replay_ok));
+        assert!(entries.iter().any(|e| e.drift_pct != 0.0));
     }
 }

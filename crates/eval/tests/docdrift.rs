@@ -1,6 +1,7 @@
 //! Doc-drift guards on the living docs and the CI workflow: no
 //! `BENCH_<n>` snapshot reference remains, every `--bin <name>` names a
-//! binary that exists, every backticked allocation entry point names a
+//! binary that exists, every flag passed after `--bin <name> --` is one
+//! that binary's source names, every backticked allocation entry point names a
 //! `pub fn` that exists in `ccra-regalloc`, and every backticked
 //! `<Type>::<name>` for a type of [`MEMBER_TYPES`] names a field or
 //! method that type has.
@@ -146,6 +147,118 @@ fn bin_ref_extraction_is_exact() {
             (3, "trace".to_string()),
             (3, "quality".to_string())
         ]
+    );
+}
+
+/// Every `--flag` passed to an eval binary in `text`, with its line
+/// number and the binary's name: the flags after `--bin <name> --` up to
+/// the end of that command. A command continues onto the next line when
+/// its line ends in `\` or `--`, or when the next line starts with a
+/// flag (a folded YAML `run: >` command); it ends at a closing backtick,
+/// a shell operator or a comment.
+fn bin_flag_refs(text: &str) -> Vec<(usize, String, String)> {
+    let mut refs = Vec::new();
+    // The binary of a command still open at the end of the previous
+    // line, and whether that line forces the next to continue it.
+    let mut open: Option<(String, bool)> = None;
+    for (lineno, line) in text.lines().enumerate() {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let mut cmd = match open.take() {
+            Some((bin, forced)) if forced || words.first().is_some_and(|w| w.starts_with("--")) => {
+                Some(bin)
+            }
+            _ => None,
+        };
+        let mut i = 0;
+        while i < words.len() {
+            let word = words[i];
+            if word.trim_start_matches('`') == "--bin" {
+                cmd = match (words.get(i + 1), words.get(i + 2)) {
+                    (Some(name), Some(&"--")) => {
+                        i += 2;
+                        Some(ident(name).to_string())
+                    }
+                    _ => None,
+                };
+            } else if let Some(bin) = &cmd {
+                if word.starts_with(['#', '|', '>', '<', ';', '&']) {
+                    cmd = None;
+                } else {
+                    if let Some(flag) = word.strip_prefix("--").map(|rest| {
+                        rest.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                            .next()
+                            .unwrap_or("")
+                    }) {
+                        if flag.starts_with(|c: char| c.is_ascii_alphabetic()) {
+                            refs.push((lineno + 1, bin.clone(), format!("--{flag}")));
+                        }
+                    }
+                    if word.contains('`') {
+                        cmd = None;
+                    }
+                }
+            }
+            i += 1;
+        }
+        if let Some(bin) = cmd {
+            let forced = words
+                .last()
+                .is_some_and(|w| w.ends_with('\\') || *w == "--");
+            open = Some((bin, forced));
+        }
+    }
+    refs
+}
+
+#[test]
+fn living_docs_pass_binaries_only_flags_they_parse() {
+    let root = repo_root();
+    let bin_dir = root.join("crates/eval/src/bin");
+    let mut stale = Vec::new();
+    let mut total = 0;
+    for doc in LIVING_DOCS {
+        for (line, bin, flag) in bin_flag_refs(&read_doc(&root, doc)) {
+            let Ok(src) = std::fs::read_to_string(bin_dir.join(format!("{bin}.rs"))) else {
+                // A missing binary is `living_docs_name_only_existing_binaries`' finding.
+                continue;
+            };
+            total += 1;
+            if !src.contains(&format!("\"{flag}\"")) {
+                stale.push(format!("{doc}:{line}: `{bin} -- {flag}`"));
+            }
+        }
+    }
+    assert!(
+        total > 0,
+        "no binary flags found in {LIVING_DOCS:?} — the guard is grepping the wrong files"
+    );
+    assert!(
+        stale.is_empty(),
+        "docs pass a flag the binary's source never names — update the docs or CI \
+         alongside the binary's arguments:\n{}",
+        stale.join("\n")
+    );
+}
+
+#[test]
+fn bin_flag_extraction_is_exact() {
+    let refs = bin_flag_refs(
+        "cargo run --bin trace -- eqntott --scale 0.05 \\\n    --out f.jsonl > x --nope\n\
+         run: >\n  cargo run --bin quality --\n  --scale 1.0\n  --out q.json # --nope\n\
+         - name: next\n--nope\n\
+         see `quality -- --x` and `cargo run --bin par -- --iters 3`, --nope\n\
+         --bin fig7 --scale 2 --nope",
+    );
+    let want = [
+        (1, "trace", "--scale"),
+        (2, "trace", "--out"),
+        (5, "quality", "--scale"),
+        (6, "quality", "--out"),
+        (9, "par", "--iters"),
+    ];
+    assert_eq!(
+        refs,
+        want.map(|(l, b, f)| (l, b.to_string(), f.to_string()))
     );
 }
 

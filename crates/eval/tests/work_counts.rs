@@ -11,21 +11,40 @@
 //! prints the fresh file, which replaces the committed one together with
 //! an explanation of why the work changed. Wall-clock speed is measured
 //! by the repository benchmark (`benchmark/`), not here.
+//!
+//! The second exact gate pins allocation quality: the `quality` matrix at
+//! scale 1.0 — three call-heavy workloads × three allocators × two
+//! register files, scored under static estimates — must render byte for
+//! byte as the committed `crates/eval/baselines/quality_scale_1.json`.
 
 use std::fmt::Write as _;
 
 use ccra_analysis::FrequencyInfo;
 use ccra_eval::parsweep::MATRIX_WORKLOADS;
-use ccra_eval::quality::matrix_files;
+use ccra_eval::quality::{matrix_files, run_quality_matrix, QualityFile};
 use ccra_machine::CostModel;
 use ccra_regalloc::{
     allocate_program_instrumented, AllocRequest, AllocatorConfig, MetricsRegistry, NoopSink,
     PriorityOrdering,
 };
 use ccra_workloads::{spec_program_scaled, Scale};
+use serde::Serialize;
 
 /// Repo-root-relative path of the committed counts.
 const BASELINE: &str = "crates/eval/baselines/work_counts.txt";
+
+/// Repo-root-relative path of the committed scale-1.0 quality scores.
+const QUALITY_BASELINE: &str = "crates/eval/baselines/quality_scale_1.json";
+
+/// Reads a committed file by its repo-root-relative path.
+fn read_committed(rel: &str) -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("repo root exists");
+    let path = root.join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
 
 /// The allocator configurations of the matrix: the paper's base
 /// allocator, the full improvement set, its optimistic variant, the
@@ -121,13 +140,7 @@ fn mismatches(committed: &str, fresh: &str) -> Vec<String> {
 
 #[test]
 fn work_counts_match_the_committed_baseline() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("repo root exists");
-    let path = root.join(BASELINE);
-    let committed = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let committed = read_committed(BASELINE);
     let fresh = fresh_counts();
     assert_eq!(
         fresh.lines().count(),
@@ -141,6 +154,32 @@ fn work_counts_match_the_committed_baseline() {
          file below and explain the change in CHANGES.md:\n{fresh}",
         diffs.len(),
         diffs.join("\n")
+    );
+}
+
+#[test]
+fn quality_scores_match_the_committed_baseline() {
+    let committed = read_committed(QUALITY_BASELINE);
+    let cells = run_quality_matrix(Scale(1.0), |_| {}).expect("the quality matrix allocates");
+    // Each cell whose rendering the committed file lacks, by name.
+    let differing: Vec<String> = cells
+        .iter()
+        .filter(|c| !committed.contains(&c.to_json()))
+        .map(|c| format!("{} {} {}", c.workload, c.config, c.regs))
+        .collect();
+    let fresh = QualityFile {
+        scale: 1.0,
+        quality: cells,
+    }
+    .to_json()
+        + "\n";
+    assert!(
+        fresh == committed,
+        "quality scores differ from {QUALITY_BASELINE}; cells not in the committed \
+         file: [{}]\n\n\
+         If the change in quality is intended, replace {QUALITY_BASELINE} with the \
+         fresh file below and explain the change in CHANGES.md:\n{fresh}",
+        differing.join(", ")
     );
 }
 

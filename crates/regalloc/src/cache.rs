@@ -72,7 +72,7 @@
 //! [`CacheConfig::poison`] deliberately collapses every fingerprint to a
 //! constant, so all functions collide on one key. This exists to prove
 //! the byte-identity gates *fire*: under poison, a warm run replays the
-//! wrong function's allocation and the `incr --check` / determinism
+//! wrong function's allocation and the `incr` byte-identity / determinism
 //! oracles must exit nonzero. Never enable it outside that proof.
 
 use std::collections::HashMap;

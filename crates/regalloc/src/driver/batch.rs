@@ -1111,17 +1111,19 @@ impl BatchHandle {
         self.shared.obsv.clone()
     }
 
-    /// Offers the observatory a sample tick: snapshots the live metrics
-    /// and hands them to [`Observatory::tick`], which samples and
-    /// evaluates the alert rules only when a full interval has passed
-    /// since its last sample. The status routes call this before they
+    /// Offers the observatory a sample tick: [`Observatory::tick`]
+    /// snapshots the live metrics, samples them and evaluates the alert
+    /// rules only when a full interval has passed since its last sample,
+    /// so a read that is not due copies nothing. The snapshot takes the
+    /// ledger lock inside the observatory's; no path takes them in the
+    /// other order. The status routes call this before they
     /// read; deterministic callers (tests, `loadgen --chaos`) call it
     /// after advancing a manual clock. Safe from any number of threads.
     /// Returns the tick's alert transitions; a no-op without an
     /// observatory.
     pub fn obsv_tick(&self) -> Vec<AlertTransition> {
         match &self.shared.obsv {
-            Some(obsv) => obsv.tick(&self.shared.scraped_metrics()),
+            Some(obsv) => obsv.tick(|| self.shared.scraped_metrics()),
             None => Vec::new(),
         }
     }

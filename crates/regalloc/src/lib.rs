@@ -133,7 +133,7 @@ pub use obsv::{
 pub use pipeline::{
     allocate_function, allocate_function_instrumented, allocate_program,
     allocate_program_instrumented, count_kinds, degraded_allocation, AllocRequest, FuncAllocation,
-    JobCtx, ProgramAllocation, RangeSummary, RefAssignment, METRIC_MEM_PEAK, METRIC_MEM_RECORDS,
+    JobCtx, ProgramAllocation, RangeSummary, RefAssignment,
 };
 pub use priority::allocate_bank_priority;
 pub use quality::{score_program, FuncQuality, QualityReport};

@@ -307,13 +307,14 @@ impl Observatory {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Samples the registry and evaluates alerts if [`RAW_INTERVAL_US`]
-    /// has passed since the last sample (the first tick always samples);
-    /// otherwise does nothing. The clock read, the due check and the
-    /// sample share one lock acquisition, so callers racing at one
-    /// instant make exactly one tick. Returns this tick's alert
+    /// Samples the registry `scrape` returns and evaluates alerts if
+    /// [`RAW_INTERVAL_US`] has passed since the last sample (the first
+    /// tick always samples); otherwise does nothing and never calls
+    /// `scrape`. The clock read, the due check, the scrape and the sample
+    /// share one lock acquisition, so callers racing at one instant make
+    /// exactly one tick and one scrape. Returns this tick's alert
     /// transitions (empty when it did not sample).
-    pub fn tick(&self, metrics: &MetricsRegistry) -> Vec<AlertTransition> {
+    pub fn tick(&self, scrape: impl FnOnce() -> MetricsRegistry) -> Vec<AlertTransition> {
         let mut inner = self.lock();
         let now = self.config.clock.now_us();
         if inner
@@ -322,7 +323,7 @@ impl Observatory {
         {
             return Vec::new();
         }
-        inner.sample(now, metrics, self.config.e2e_slo_us)
+        inner.sample(now, scrape(), self.config.e2e_slo_us)
     }
 
     /// Ticks taken so far.
@@ -386,9 +387,10 @@ impl Inner {
     fn sample(
         &mut self,
         now_us: u64,
-        metrics: &MetricsRegistry,
+        scraped: MetricsRegistry,
         e2e_slo_us: u64,
     ) -> Vec<AlertTransition> {
+        let metrics = &scraped;
         let empty = MetricsRegistry::new();
         let prev = self.prev.as_ref().unwrap_or(&empty);
         // Interval length for rate math: the measured gap since the last
@@ -485,7 +487,7 @@ impl Inner {
         };
         self.store.push(SERIES_CACHE_HIT_RATE, now_us, hit_rate);
 
-        self.prev = Some(metrics.clone());
+        self.prev = Some(scraped);
         self.last_tick_us = Some(now_us);
         self.ticks += 1;
         self.engine.tick(now_us, &self.store)
@@ -529,7 +531,7 @@ mod tests {
         m.add("jobs_total", 10);
         m.observe("lat", 100);
         clock.set(TICK);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         // Second interval: +6 jobs over 2 seconds → rate 3/s; latency
         // observations move to ~1000 so the interval p50 tracks only the
         // new ones, not the cumulative distribution.
@@ -538,7 +540,7 @@ mod tests {
             m.observe("lat", 1000);
         }
         clock.set(2 * TICK);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         let rate = obsv.history("rate:jobs_total").unwrap();
         assert_eq!(rate.len(), 2);
         assert!((rate[1].value - 3.0).abs() < 1e-9);
@@ -547,7 +549,7 @@ mod tests {
         assert_eq!(p50[1].value, 1023.0, "interval p50, not cumulative");
         // A silent third interval holds the last quantile and zeroes the rate.
         clock.set(3 * TICK);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         let rate = obsv.history("rate:jobs_total").unwrap();
         assert_eq!(rate[2].value, 0.0);
         let p50 = obsv.history("p50:lat").unwrap();
@@ -559,17 +561,32 @@ mod tests {
         let (clock, obsv) = manual_obsv();
         let m = MetricsRegistry::new();
         clock.set(TICK);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         assert_eq!(obsv.ticks(), 1);
         // The same instant again, then not a full interval later: no tick.
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         assert_eq!(obsv.ticks(), 1);
         clock.set(TICK + TICK / 2);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         assert_eq!(obsv.ticks(), 1);
         clock.set(2 * TICK);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         assert_eq!(obsv.ticks(), 2);
+    }
+
+    #[test]
+    fn ticks_at_one_instant_scrape_once() {
+        let (clock, obsv) = manual_obsv();
+        clock.set(TICK);
+        let scrapes = std::cell::Cell::new(0);
+        for _ in 0..1000 {
+            obsv.tick(|| {
+                scrapes.set(scrapes.get() + 1);
+                MetricsRegistry::new()
+            });
+        }
+        assert_eq!(scrapes.get(), 1, "only the due tick scrapes");
+        assert_eq!(obsv.ticks(), 1);
     }
 
     #[test]
@@ -582,7 +599,7 @@ mod tests {
         for i in 1..=20u64 {
             m.observe(QUEUE_WAIT_HISTOGRAM, 10_000 * i);
             clock.set(i * TICK);
-            obsv.tick(&m);
+            obsv.tick(|| m.clone());
         }
         let means = obsv.history(SERIES_QUEUE_DELAY_MEAN).unwrap();
         assert_eq!(means.last().unwrap().value, 200_000.0, "exact delta mean");
@@ -605,7 +622,7 @@ mod tests {
             last += 100_000;
             m.observe(QUEUE_WAIT_HISTOGRAM, last);
             clock.set(i * TICK);
-            obsv.tick(&m);
+            obsv.tick(|| m.clone());
         }
         assert_eq!(
             obsv.alert_state(RULE_QUEUE_DELAY_SLOPE),
@@ -626,7 +643,10 @@ mod tests {
             }
             now += TICK;
             clock.set(now);
-            assert!(obsv.tick(&m).is_empty(), "no alerts while healthy");
+            assert!(
+                obsv.tick(|| m.clone()).is_empty(),
+                "no alerts while healthy"
+            );
         }
         // Overload: a burst of observations far over the SLO. Both burn
         // windows heat immediately and the critical rule fires this tick.
@@ -635,7 +655,7 @@ mod tests {
         }
         now += TICK;
         clock.set(now);
-        let fired = obsv.tick(&m);
+        let fired = obsv.tick(|| m.clone());
         assert_eq!(fired.len(), 1);
         assert!(fired[0].fired);
         assert_eq!(fired[0].rule, RULE_E2E_BURN);
@@ -649,7 +669,7 @@ mod tests {
             }
             now += TICK;
             clock.set(now);
-            for t in obsv.tick(&m) {
+            for t in obsv.tick(|| m.clone()) {
                 if t.rule == RULE_E2E_BURN && !t.fired {
                     resolved = true;
                 }
@@ -677,7 +697,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.add("c", 1);
         clock.set(TICK);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
         let doc = obsv.alerts_value();
         assert_eq!(doc.get("ticks").and_then(Value::as_i64), Some(1));
         assert!(doc.get("rules").is_some());

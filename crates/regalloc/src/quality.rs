@@ -286,11 +286,7 @@ pub fn score_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
-    use crate::pipeline::{
-        allocate_program, allocate_program_instrumented, AllocRequest, METRIC_MEM_PEAK,
-        METRIC_MEM_RECORDS,
-    };
+    use crate::pipeline::allocate_program;
     use crate::types::AllocatorConfig;
     use ccra_machine::RegisterFile;
     use ccra_workloads::{spec_program, SpecProgram};
@@ -374,66 +370,5 @@ mod tests {
         let a = scored(&AllocatorConfig::base());
         let b = scored(&AllocatorConfig::base());
         assert_eq!(a.to_json_value().to_json(), b.to_json_value().to_json());
-    }
-
-    /// The working-set records land in the registry the pipeline is
-    /// given, and only an enabled one: a disabled registry stays empty,
-    /// and merging per-function registries keeps the peak a peak while
-    /// the record counts sum.
-    #[test]
-    fn memprof_tally_is_off_until_armed_and_merges() {
-        let p = spec_program(SpecProgram::Compress);
-        let freq = FrequencyInfo::estimate(&p);
-        let file = RegisterFile::new(6, 4, 2, 0);
-        let config = AllocatorConfig::improved();
-        let run = |metrics: &mut MetricsRegistry| {
-            let req = AllocRequest {
-                program: &p,
-                freq: &freq,
-                file,
-                config: &config,
-                cost: &ccra_machine::CostModel::paper(),
-            };
-            allocate_program_instrumented(&req, &mut crate::trace::NoopSink, metrics)
-                .expect("allocates");
-        };
-        let mut off = MetricsRegistry::disabled();
-        run(&mut off);
-        assert!(off.gauge(METRIC_MEM_PEAK).is_none(), "disabled is off");
-        assert_eq!(off.counter(METRIC_MEM_RECORDS), 0);
-
-        let mut on = MetricsRegistry::new();
-        run(&mut on);
-        let peak = on.gauge(METRIC_MEM_PEAK).expect("armed registry records");
-        let records = on.counter(METRIC_MEM_RECORDS);
-        let mut merged = on.clone();
-        merged.merge(&on);
-        assert_eq!(merged.gauge(METRIC_MEM_PEAK), Some(peak), "peaks max");
-        assert_eq!(
-            merged.counter(METRIC_MEM_RECORDS),
-            2 * records,
-            "counts sum"
-        );
-    }
-
-    #[test]
-    fn pipeline_records_memprof_when_armed() {
-        // One record per context built and per body rewritten: at least
-        // the first build and the final rewrite of every function.
-        let p = spec_program(SpecProgram::Compress);
-        let freq = FrequencyInfo::estimate(&p);
-        let mut metrics = MetricsRegistry::new();
-        let req = AllocRequest {
-            program: &p,
-            freq: &freq,
-            file: RegisterFile::new(6, 4, 2, 0),
-            config: &AllocatorConfig::improved(),
-            cost: &ccra_machine::CostModel::paper(),
-        };
-        allocate_program_instrumented(&req, &mut crate::trace::NoopSink, &mut metrics)
-            .expect("allocates");
-        let funcs = p.num_functions() as u64;
-        assert!(metrics.counter(METRIC_MEM_RECORDS) >= 2 * funcs);
-        assert!(metrics.gauge(METRIC_MEM_PEAK).is_some_and(|b| b > 0.0));
     }
 }

@@ -163,7 +163,7 @@ fn synthetic_rising_delay_pins_the_history_slope() {
     for i in 1..=20u64 {
         m.observe(QUEUE_WAIT_HISTOGRAM, 10_000 * i);
         clock.set(i * 2_000_000);
-        obsv.tick(&m);
+        obsv.tick(|| m.clone());
     }
     let doc = obsv
         .history_value(SERIES_QUEUE_DELAY_SLOPE)
